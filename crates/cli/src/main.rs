@@ -792,6 +792,21 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
     let shape = args.shape()?;
     let field = io::read_raw_f32(&input, shape)?;
     let rate = args.float("rate")?.unwrap_or(0.01);
+    if !(rate > 0.0 && rate <= 1.0) {
+        return Err(format!("--rate: {rate} is outside (0, 1]"));
+    }
+    let abs = args.float("abs")?;
+    if let Some(eb) = abs {
+        if !(eb > 0.0 && eb.is_finite()) {
+            return Err(format!("--abs: {eb} is not a finite positive error bound"));
+        }
+    }
+    let range = field.value_range();
+    if abs.is_none() && !(range > 0.0 && range.is_finite()) {
+        return Err(format!(
+            "{input}: value range is {range}, so there is no default bound grid; pass --abs EB"
+        ));
+    }
     let predictor = args.predictor()?;
     let model = RqModel::build(&field, predictor, rate, 42);
     println!(
@@ -800,8 +815,7 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         model.sample().len(),
         model.build_time()
     );
-    let range = field.value_range();
-    let ebs: Vec<f64> = match args.float("abs")? {
+    let ebs: Vec<f64> = match abs {
         Some(eb) => vec![eb],
         None => (0..6).map(|i| range * 1e-6 * 10f64.powi(i)).collect(),
     };
@@ -1762,6 +1776,87 @@ mod tests {
         let g = io::read_raw_f32(back.to_str().unwrap(), Shape::d2(40, 30)).unwrap();
         let psnr = measured_psnr(&f, &g);
         assert!(psnr >= target - 0.5, "measured {psnr:.2} dB < floor {}", target - 0.5);
+    }
+
+    #[test]
+    fn estimate_rejects_bad_bounds_and_rates() {
+        // Each of these used to panic (exit 101) inside the model.
+        let raw = tmp("est.f32");
+        write_field(&raw);
+        let r = raw.to_str().unwrap();
+        for (flag, value) in
+            [("--abs", "0"), ("--abs", "nan"), ("--abs", "-1e-3"), ("--abs", "inf")]
+        {
+            let err = run_args(&["estimate", r, "--shape", "20x30", flag, value]).unwrap_err();
+            assert!(err.contains("--abs"), "{flag} {value}: {err}");
+        }
+        for value in ["0", "5", "nan", "-0.5"] {
+            let err = run_args(&["estimate", r, "--shape", "20x30", "--rate", value]).unwrap_err();
+            assert!(err.contains("--rate"), "--rate {value}: {err}");
+        }
+        run_args(&["estimate", r, "--shape", "20x30", "--rate", "1", "--abs", "1e-3"]).unwrap();
+    }
+
+    #[test]
+    fn estimate_on_a_constant_field_asks_for_abs() {
+        let raw = tmp("est_const.f32");
+        let f = NdArray::<f32>::from_fn(Shape::d2(16, 16), |_| 2.5);
+        io::write_raw_f32(raw.to_str().unwrap(), &f).unwrap();
+        let r = raw.to_str().unwrap();
+        let err = run_args(&["estimate", r, "--shape", "16x16"]).unwrap_err();
+        assert!(err.contains("--abs"), "{err}");
+        run_args(&["estimate", r, "--shape", "16x16", "--abs", "1e-3"]).unwrap();
+    }
+
+    /// FNV-1a 64 over a byte string.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn target_psnr_archive_bytes_are_pinned() {
+        // The model's estimate path is tuned for speed under the promise
+        // that plans, and therefore archives, stay bit-identical: length
+        // and hash were recorded with the original `BTreeMap` histogram
+        // and 100-step bisections (x86_64 Linux, glibc libm).
+        let raw = tmp("tpin.f32");
+        let rqc = tmp("tpin.rqc");
+        let (rows, cols) = (64usize, 256usize);
+        let mut st = 0x007A_26E7u64;
+        let f = NdArray::<f32>::from_fn(Shape::d2(rows, cols), |ix| {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            let noise = (st >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            let (r, c) = (ix[0] as f64, ix[1] as f64);
+            if (16..24).contains(&ix[0]) && c < 128.0 {
+                return 0.0;
+            }
+            let amp = if ix[0] < 32 { 0.001 } else { 0.2 };
+            ((r * 0.09).sin() * 3.0 + (c * 0.04).cos() + noise * amp) as f32
+        });
+        io::write_raw_f32(raw.to_str().unwrap(), &f).unwrap();
+        run_args(&[
+            "compress",
+            raw.to_str().unwrap(),
+            rqc.to_str().unwrap(),
+            "--shape",
+            "64x256",
+            "--target-psnr",
+            "60",
+            "--chunk-size",
+            "8",
+            "--threads",
+            "2",
+        ])
+        .unwrap();
+        let bytes = io::read_bytes(rqc.to_str().unwrap()).unwrap();
+        let ebs: Vec<f64> =
+            rq_compress::chunk_table(&bytes).unwrap().entries.iter().map(|e| e.eb).collect();
+        assert!(ebs.iter().any(|&e| e != ebs[0]), "plan is uniform: {ebs:?}");
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (6808, 0x62a6_7c0d_c82e_ed0c));
     }
 
     #[test]

@@ -157,13 +157,13 @@ pub fn compress_chunked_with_report<T: Scalar>(
         radius: cfg.radius,
     };
 
-    let mut per_chunk = Vec::with_capacity(encoded.len());
+    let mut totals = ChunkTotals::new(&enc.quantizer);
     let bytes = match version {
         VERSION_V2 => {
             let mut blobs = Vec::with_capacity(encoded.len());
             for ec in encoded {
                 blobs.push((ec.rows, ec.blob));
-                per_chunk.push((ChunkCodecKind::Sz, ec.stats));
+                totals.add(ChunkCodecKind::Sz, &ec.stats);
             }
             write_container_v2::<T>(&header, chunk_rows, &blobs)
         }
@@ -171,7 +171,7 @@ pub fn compress_chunked_with_report<T: Scalar>(
             let mut blobs = Vec::with_capacity(encoded.len());
             for ec in encoded {
                 blobs.push((ec.rows, ec.codec, ec.blob));
-                per_chunk.push((ec.codec, ec.stats));
+                totals.add(ec.codec, &ec.stats);
             }
             write_container_v2_1::<T>(&header, chunk_rows, &blobs)
         }
@@ -179,66 +179,85 @@ pub fn compress_chunked_with_report<T: Scalar>(
             let mut blobs = Vec::with_capacity(encoded.len());
             for ec in encoded {
                 blobs.push((ec.rows, ec.codec, ec.eb, ec.blob));
-                per_chunk.push((ec.codec, ec.stats));
+                totals.add(ec.codec, &ec.stats);
             }
             write_container_v2_4::<T>(&header, chunk_rows, &blobs)
         }
     };
-    let report = aggregate_report(&enc.quantizer, per_chunk, n, T::BITS, bytes.len());
+    let report = totals.into_report(n, T::BITS, bytes.len());
     Ok((CompressedOutput { bytes, n_elements: n, original_bits: T::BITS }, report))
 }
 
-/// Fold per-chunk encoding statistics into one [`CompressionReport`]
-/// (shared by the one-shot chunked pipeline and the streaming writer).
-pub(crate) fn aggregate_report(
-    quantizer: &LinearQuantizer,
-    per_chunk: Vec<(ChunkCodecKind, ChunkStats)>,
-    n_elements: usize,
-    original_bits: u32,
-    container_bytes: usize,
-) -> CompressionReport {
-    let mut histogram = vec![0u64; quantizer.alphabet_size() + 1];
-    let mut n_symbols = 0usize;
-    let mut n_escapes = 0usize;
-    let mut n_anchors = 0usize;
-    let mut huffman_bytes = 0usize;
-    let mut encoded_bytes = 0usize;
-    let mut codebook_bytes = 0usize;
-    let mut side_bytes = 0usize;
-    let mut chunk_codecs = Vec::with_capacity(per_chunk.len());
-    let n_chunks = per_chunk.len();
-    for (codec, stats) in per_chunk {
-        for (acc, add) in histogram.iter_mut().zip(&stats.histogram) {
+/// Running sum of per-chunk encoding statistics, folded into one
+/// [`CompressionReport`] at the end (shared by the one-shot chunked
+/// pipeline and the streaming writer). Folding each chunk as it completes
+/// keeps one symbol histogram resident instead of one per chunk.
+pub(crate) struct ChunkTotals {
+    /// Summed symbol histogram including the escape bin.
+    histogram: Vec<u64>,
+    n_symbols: usize,
+    n_escapes: usize,
+    n_anchors: usize,
+    huffman_bytes: usize,
+    encoded_bytes: usize,
+    codebook_bytes: usize,
+    side_bytes: usize,
+    chunk_codecs: Vec<ChunkCodecKind>,
+}
+
+impl ChunkTotals {
+    pub(crate) fn new(quantizer: &LinearQuantizer) -> Self {
+        ChunkTotals {
+            histogram: vec![0u64; quantizer.alphabet_size() + 1],
+            n_symbols: 0,
+            n_escapes: 0,
+            n_anchors: 0,
+            huffman_bytes: 0,
+            encoded_bytes: 0,
+            codebook_bytes: 0,
+            side_bytes: 0,
+            chunk_codecs: Vec::new(),
+        }
+    }
+
+    pub(crate) fn add(&mut self, codec: ChunkCodecKind, stats: &ChunkStats) {
+        for (acc, add) in self.histogram.iter_mut().zip(&stats.histogram) {
             *acc += add;
         }
-        n_symbols += stats.n_symbols;
-        n_escapes += stats.n_escapes;
-        n_anchors += stats.n_anchors;
-        huffman_bytes += stats.huffman_bytes;
-        encoded_bytes += stats.encoded_bytes;
-        codebook_bytes += stats.codebook_bytes;
-        side_bytes += stats.side_bytes;
-        chunk_codecs.push(codec);
+        self.n_symbols += stats.n_symbols;
+        self.n_escapes += stats.n_escapes;
+        self.n_anchors += stats.n_anchors;
+        self.huffman_bytes += stats.huffman_bytes;
+        self.encoded_bytes += stats.encoded_bytes;
+        self.codebook_bytes += stats.codebook_bytes;
+        self.side_bytes += stats.side_bytes;
+        self.chunk_codecs.push(codec);
     }
-    CompressionReport {
-        // ZFP chunks have no symbol stream: the histogram and element
-        // accounting cover the SZ-coded chunks only.
-        n_quantized: n_symbols - n_escapes,
-        symbol_histogram: {
-            histogram.truncate(quantizer.alphabet_size()); // drop the escape bin
-            histogram
-        },
-        n_unpredictable: n_escapes,
-        n_anchors,
-        huffman_bytes,
-        encoded_bytes,
-        codebook_bytes,
-        side_bytes,
-        container_bytes,
-        n_elements,
-        original_bits,
-        n_chunks,
-        chunk_codecs,
+
+    pub(crate) fn into_report(
+        mut self,
+        n_elements: usize,
+        original_bits: u32,
+        container_bytes: usize,
+    ) -> CompressionReport {
+        self.histogram.pop(); // drop the escape bin
+        CompressionReport {
+            // ZFP chunks have no symbol stream: the histogram and element
+            // accounting cover the SZ-coded chunks only.
+            n_quantized: self.n_symbols - self.n_escapes,
+            symbol_histogram: self.histogram,
+            n_unpredictable: self.n_escapes,
+            n_anchors: self.n_anchors,
+            huffman_bytes: self.huffman_bytes,
+            encoded_bytes: self.encoded_bytes,
+            codebook_bytes: self.codebook_bytes,
+            side_bytes: self.side_bytes,
+            container_bytes,
+            n_elements,
+            original_bits,
+            n_chunks: self.chunk_codecs.len(),
+            chunk_codecs: self.chunk_codecs,
+        }
     }
 }
 

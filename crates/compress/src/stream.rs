@@ -59,7 +59,7 @@
 //! assert_eq!(reader.stats().chunks_decoded, 2); // rows 10..22 span chunks 1 and 2
 //! ```
 
-use crate::chunked::{aggregate_report, decode_entry_blob, entry_shape, run_on_workers};
+use crate::chunked::{decode_entry_blob, entry_shape, run_on_workers, ChunkTotals};
 use crate::codec::{ChunkCodec, ChunkStats, SzChunkCodec, ZfpChunkCodec};
 use crate::config::{CodecChoice, CompressorConfig, LosslessStage};
 use crate::container::{
@@ -275,7 +275,8 @@ pub struct ArchiveWriter<T: Scalar, W: Write> {
     /// Chunk index accumulated for the trailer: (rows, codec, blob len,
     /// eb).
     index: Vec<(usize, ChunkCodecKind, usize, f64)>,
-    per_chunk: Vec<(ChunkCodecKind, ChunkStats)>,
+    /// Statistics of the chunks written so far.
+    totals: ChunkTotals,
     bytes_written: u64,
 }
 
@@ -397,6 +398,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         let mut head = Vec::with_capacity(96);
         write_header_prefix(&mut head, &header, T::TAG);
         sink.write_all(&head)?;
+        let totals = ChunkTotals::new(&enc.quantizer);
         Ok(ArchiveWriter {
             sink,
             shape,
@@ -408,7 +410,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
             buf: Vec::new(),
             rows_done: 0,
             index: Vec::new(),
-            per_chunk: Vec::new(),
+            totals,
             bytes_written: head.len() as u64,
         })
     }
@@ -486,7 +488,7 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
             self.bytes_written += ec.blob.len() as u64;
             self.rows_done += ec.rows;
             self.index.push((ec.rows, ec.codec, ec.blob.len(), ec.eb));
-            self.per_chunk.push((ec.codec, ec.stats));
+            self.totals.add(ec.codec, &ec.stats);
         }
         self.buf.drain(..elems);
         Ok(())
@@ -517,13 +519,8 @@ impl<T: Scalar, W: Write> ArchiveWriter<T, W> {
         self.sink.write_all(&trailer)?;
         self.sink.flush()?;
         self.bytes_written += trailer.len() as u64;
-        let report = aggregate_report(
-            &self.enc.quantizer,
-            self.per_chunk,
-            self.shape.len(),
-            T::BITS,
-            self.bytes_written as usize,
-        );
+        let report =
+            self.totals.into_report(self.shape.len(), T::BITS, self.bytes_written as usize);
         Ok(FinishedArchive { sink: self.sink, report, bytes_written: self.bytes_written })
     }
 }

@@ -10,16 +10,21 @@
 //! dispersion caused by reconstruction feedback.
 
 use crate::sampling::ErrorSample;
-use std::collections::BTreeMap;
 
 /// Bin-transfer activation threshold θ₂ of Eq. 9.
 pub const BIN_TRANSFER_THRESHOLD: f64 = 0.8;
 
+/// Widest code span, per in-range sample, that [`EstimatedHistogram::build`]
+/// accumulates in a flat array; wider spans are binned by a stable sort,
+/// so scratch memory follows the sample count, not the code radius.
+const DENSE_SPAN_PER_SAMPLE: usize = 4;
+
 /// A (weighted, sparse) estimated quantization-code histogram.
 #[derive(Clone, Debug)]
 pub struct EstimatedHistogram {
-    /// Weighted mass per quantization code.
-    bins: BTreeMap<i32, f64>,
+    /// Weighted mass per occupied quantization code, in ascending code
+    /// order. A code that was hit only with zero weight is still listed.
+    bins: Vec<(i32, f64)>,
     /// Total in-range mass.
     total: f64,
     /// Mass quantized beyond the code radius (escape path).
@@ -35,9 +40,18 @@ impl EstimatedHistogram {
     /// the reconstruction-feedback noise `κ·eb` (see
     /// [`ErrorSample::feedback_kappa`]) that emulates predicting from
     /// reconstructed instead of original values.
+    ///
+    /// Costs one pass over the sample plus one over the occupied bins.
+    /// Each bin sums its weights in sample order, so the result does not
+    /// depend on how the bins are stored.
+    ///
+    /// # Panics
+    /// Panics if `eb` is not finite and positive.
     pub fn build(sample: &ErrorSample, eb: f64, radius: u32) -> Self {
         assert!(eb > 0.0 && eb.is_finite(), "invalid error bound {eb}");
-        let mut bins: BTreeMap<i32, f64> = BTreeMap::new();
+        // (code, weight) of every in-range sample, in sample order.
+        let mut hits: Vec<(i32, f64)> = Vec::with_capacity(sample.errors.len());
+        let (mut lo, mut hi) = (i32::MAX, i32::MIN);
         let mut escape_mass = 0.0;
         let mut total = 0.0;
         let mut central_sum = 0.0;
@@ -92,7 +106,9 @@ impl EstimatedHistogram {
                 continue;
             }
             let code = code as i32;
-            *bins.entry(code).or_insert(0.0) += w;
+            hits.push((code, w));
+            lo = lo.min(code);
+            hi = hi.max(code);
             total += w;
             if code == 0 {
                 central_sum += w * err;
@@ -109,13 +125,23 @@ impl EstimatedHistogram {
         } else {
             0.0
         };
-        let mut h = EstimatedHistogram { bins, total, escape_mass, central_bin_variance };
+        let mut h = EstimatedHistogram {
+            bins: bin_hits(hits, lo, hi),
+            total,
+            escape_mass,
+            central_bin_variance,
+        };
         h.apply_bin_transfer(sample.predictor.bin_transfer_c2());
         h
     }
 
     /// Eq. 9: when `p0 ≥ θ₂`, transfer `C₂·(1−p₀)` of each bin's mass
     /// evenly to its two neighbors.
+    ///
+    /// One pass over the occupied bins. Bin `k` ends up as
+    /// `m[k] + moved[k−1]/2 − moved[k] + moved[k+1]/2`, added in that
+    /// order and only over occupied source bins; bins at or below 1e-12
+    /// are dropped.
     fn apply_bin_transfer(&mut self, c2: f64) {
         if c2 == 0.0 || self.total == 0.0 || self.p0() < BIN_TRANSFER_THRESHOLD {
             return;
@@ -125,17 +151,35 @@ impl EstimatedHistogram {
         if frac <= 0.0 {
             return;
         }
-        let mut deltas: Vec<(i32, f64)> = Vec::with_capacity(self.bins.len() * 3);
-        for (&code, &mass) in &self.bins {
-            let moved = mass * frac;
-            deltas.push((code, -moved));
-            deltas.push((code - 1, moved / 2.0));
-            deltas.push((code + 1, moved / 2.0));
+        let src = std::mem::take(&mut self.bins);
+        let mut out: Vec<(i32, f64)> = Vec::with_capacity(src.len() + 2);
+        let mut next = i32::MIN; // lowest code not yet emitted
+        for (i, &(c, _)) in src.iter().enumerate() {
+            // Codes within ±2 of `c` sit within ±2 places of `i`.
+            let near = &src[i.saturating_sub(2)..(i + 3).min(src.len())];
+            let mass_of = |k: i32| near.iter().find(|&&(code, _)| code == k).map(|&(_, m)| m);
+            for k in [c - 1, c, c + 1] {
+                if k < next {
+                    continue;
+                }
+                next = k + 1;
+                let own = mass_of(k);
+                let mut m = own.unwrap_or(0.0);
+                if let Some(left) = mass_of(k - 1) {
+                    m += (left * frac) / 2.0;
+                }
+                if let Some(own) = own {
+                    m += -(own * frac);
+                }
+                if let Some(right) = mass_of(k + 1) {
+                    m += (right * frac) / 2.0;
+                }
+                if m > 1e-12 {
+                    out.push((k, m));
+                }
+            }
         }
-        for (code, d) in deltas {
-            *self.bins.entry(code).or_insert(0.0) += d;
-        }
-        self.bins.retain(|_, m| *m > 1e-12);
+        self.bins = out;
     }
 
     /// Fraction of (in-range) mass in the zero bin — the model's `p0`.
@@ -143,7 +187,8 @@ impl EstimatedHistogram {
         if self.total == 0.0 {
             return 0.0;
         }
-        self.bins.get(&0).copied().unwrap_or(0.0) / self.total
+        let zero = self.bins.binary_search_by_key(&0, |&(c, _)| c);
+        zero.map_or(0.0, |i| self.bins[i].1) / self.total
     }
 
     /// Fraction of all sampled mass that escapes the code range.
@@ -159,7 +204,7 @@ impl EstimatedHistogram {
     /// Normalized (probability) view of the code bins.
     pub fn probabilities(&self) -> impl Iterator<Item = (i32, f64)> + '_ {
         let t = self.total.max(f64::MIN_POSITIVE);
-        self.bins.iter().map(move |(&c, &m)| (c, m / t))
+        self.bins.iter().map(move |&(c, m)| (c, m / t))
     }
 
     /// Number of occupied bins.
@@ -176,10 +221,38 @@ impl EstimatedHistogram {
     }
 }
 
+/// Sum each code's weights in sample order and list the occupied codes
+/// in ascending order. `lo..=hi` is the span of codes in `hits`.
+fn bin_hits(mut hits: Vec<(i32, f64)>, lo: i32, hi: i32) -> Vec<(i32, f64)> {
+    if hits.is_empty() {
+        return Vec::new();
+    }
+    let span = (hi as i64 - lo as i64 + 1) as usize;
+    if span <= DENSE_SPAN_PER_SAMPLE * hits.len() {
+        let mut mass: Vec<Option<f64>> = vec![None; span];
+        for &(code, w) in &hits {
+            *mass[(code - lo) as usize].get_or_insert(0.0) += w;
+        }
+        (lo..=hi).zip(mass).filter_map(|(code, m)| Some((code, m?))).collect()
+    } else {
+        // Stable: equal codes keep their sample order.
+        hits.sort_by_key(|&(code, _)| code);
+        let mut bins: Vec<(i32, f64)> = Vec::new();
+        for (code, w) in hits {
+            if bins.last().map(|&(c, _)| c) != Some(code) {
+                bins.push((code, 0.0));
+            }
+            bins.last_mut().expect("just pushed").1 += w;
+        }
+        bins
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rq_predict::PredictorKind;
+    use std::collections::BTreeMap;
 
     fn sample_of(errors: Vec<f64>, predictor: PredictorKind) -> ErrorSample {
         let weights = vec![1.0; errors.len()];

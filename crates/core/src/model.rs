@@ -50,8 +50,12 @@ pub struct Estimate {
 ///
 /// Construction performs the single sampling pass (§III-C); every
 /// subsequent [`RqModel::estimate`] call is a pure computation on the
-/// sampled histogram and costs microseconds — this asymmetry is the entire
-/// point of the paper (Fig. 9).
+/// sample — this asymmetry is the entire point of the paper (Fig. 9).
+/// An estimate costs one pass over the sample: measured about 23 µs at
+/// 1k samples, 71 µs at 4.7k and 0.42 ms at 33k (interpolation,
+/// `cargo bench -p rq-bench --bench model_cost`, Intel Xeon), against
+/// ~9 ms for one real compression of the bench's 0.4 MiB field. The
+/// inversions run about 55 estimates each.
 #[derive(Clone, Debug)]
 pub struct RqModel {
     sample: ErrorSample,
@@ -169,6 +173,9 @@ impl RqModel {
 
     /// Predict ratio and quality for an absolute error bound (the core
     /// operation, Fig. 2).
+    ///
+    /// # Panics
+    /// Panics if `eb` is not finite and positive.
     pub fn estimate(&self, eb: f64) -> Estimate {
         // The histogram covers the *dense* (non-sparse) symbols; quiescent
         // exact-zero regions were removed at sampling time (§III-C) and are
@@ -178,7 +185,10 @@ impl RqModel {
         let p0_dense = hist.p0();
         let p0 = sf + (1.0 - sf) * p0_dense;
         let b_dense = huffman_bit_rate(&hist);
-        let b_comb = crate::ratio::huffman_bit_rate_sparse(&hist, sf);
+        // Without sparse mass the combined rate is the dense one; skip the
+        // second entropy pass.
+        let b_comb =
+            if sf <= 0.0 { b_dense } else { crate::ratio::huffman_bit_rate_sparse(&hist, sf) };
         let bits = self.scalar_bits as f64;
 
         let symbol_frac = 1.0 - self.sample.verbatim_fraction;
@@ -274,11 +284,17 @@ impl RqModel {
         let (mut lo, mut hi) = self.eb_search_range();
         // bit_rate decreases as eb grows.
         for _ in 0..100 {
+            let before = (lo.to_bits(), hi.to_bits());
             let mid = (lo.ln() + hi.ln()).mul_add(0.5, 0.0).exp();
             if self.estimate(mid).bit_rate > target_bit_rate {
                 lo = mid;
             } else {
                 hi = mid;
+            }
+            // A step that moved neither end is a fixed point: every later
+            // one would repeat it, so stopping returns the same bits.
+            if (lo.to_bits(), hi.to_bits()) == before {
+                break;
             }
         }
         (lo.ln() * 0.5 + hi.ln() * 0.5).exp()
@@ -340,11 +356,16 @@ impl RqModel {
         let (mut lo, mut hi) = self.eb_search_range();
         // psnr decreases as eb grows.
         for _ in 0..100 {
+            let before = (lo.to_bits(), hi.to_bits());
             let mid = ((lo.ln() + hi.ln()) * 0.5).exp();
             if self.estimate(mid).psnr > target_db {
                 lo = mid;
             } else {
                 hi = mid;
+            }
+            // Fixed point: see error_bound_for_bit_rate.
+            if (lo.to_bits(), hi.to_bits()) == before {
+                break;
             }
         }
         ((lo.ln() + hi.ln()) * 0.5).exp()
