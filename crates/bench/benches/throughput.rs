@@ -1,6 +1,6 @@
 //! Compressor and codec throughput, including the chunk-parallel scaling
 //! table (1/2/4/8 threads) that backs the parallel pipeline's speedup
-//! claim.
+//! claim, and the ZFP transform codec's own encode/decode rate.
 //!
 //! A plain `main` with wall-clock timing rather than a criterion harness:
 //! the offline build cannot fetch criterion, and throughput trends at
@@ -112,6 +112,31 @@ fn parallel_scaling(field: &NdArray<f32>, reps: usize) {
     }
 }
 
+/// The ZFP kernel alone (`zfp_compress_slice` / `zfp_decompress_into` on
+/// the whole field, one thread) at a loose and a tight tolerance.
+fn zfp_throughput(field: &NdArray<f32>, reps: usize) {
+    let bytes = field.len() * 4;
+    println!("\n== zfp codec ({} MiB field, 1 thread) ==", bytes >> 20);
+    println!("{:<10} {:>12} {:>12} {:>12}", "abs eb", "comp MiB/s", "decomp MiB/s", "bits/value");
+    let mut out = vec![0f32; field.len()];
+    for tol in [1e-3, 1e-5] {
+        let t_comp = time_best(reps, || {
+            let _ = rq_zfp::zfp_compress_slice(field.as_slice(), field.shape(), tol).unwrap();
+        });
+        let stream = rq_zfp::zfp_compress_slice(field.as_slice(), field.shape(), tol).unwrap();
+        let t_dec = time_best(reps, || {
+            rq_zfp::zfp_decompress_into(&stream, field.shape(), &mut out).unwrap();
+        });
+        println!(
+            "{:<10.0e} {:>12.1} {:>12.1} {:>12.3}",
+            tol,
+            mb_per_s(bytes, t_comp),
+            mb_per_s(bytes, t_dec),
+            stream.len() as f64 * 8.0 / field.len() as f64
+        );
+    }
+}
+
 fn huffman_throughput() {
     // Zero-dominated symbol stream like real quantization codes.
     let symbols: Vec<u32> = (0..1_000_000u32)
@@ -150,5 +175,6 @@ fn main() {
     let field = bench_field(side);
     serial_throughput(&field, reps);
     parallel_scaling(&field, reps);
+    zfp_throughput(&field, reps);
     huffman_throughput();
 }

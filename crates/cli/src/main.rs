@@ -1607,6 +1607,40 @@ mod tests {
     }
 
     #[test]
+    fn zfp_codec_refuses_non_finite_input() {
+        // ZFP has no verbatim path: it used to decode NaN and ±inf as
+        // small finite numbers without a word. It must refuse instead,
+        // while `auto` routes the chunk elsewhere and keeps the value.
+        let raw = tmp("znf.f32");
+        let rqc = tmp("znf.rqc");
+        let back = tmp("znf.out.f32");
+        let mut f = NdArray::<f32>::from_fn(Shape::d2(20, 30), |ix| (ix[0] * 30 + ix[1]) as f32);
+        f.as_mut_slice()[77] = f32::NAN;
+        f.as_mut_slice()[300] = f32::NEG_INFINITY;
+        io::write_raw_f32(raw.to_str().unwrap(), &f).unwrap();
+        let compress_with = |codec: &str| {
+            run_args(&[
+                "compress",
+                raw.to_str().unwrap(),
+                rqc.to_str().unwrap(),
+                "--shape",
+                "20x30",
+                "--abs",
+                "1e-2",
+                "--codec",
+                codec,
+            ])
+        };
+        let err = compress_with("zfp").expect_err("zfp must refuse NaN");
+        assert!(err.contains("non-finite"), "{err}");
+        compress_with("auto").unwrap();
+        run_args(&["decompress", rqc.to_str().unwrap(), back.to_str().unwrap()]).unwrap();
+        let g = io::read_raw_f32(back.to_str().unwrap(), Shape::d2(20, 30)).unwrap();
+        assert!(g.as_slice()[77].is_nan());
+        assert_eq!(g.as_slice()[300], f32::NEG_INFINITY);
+    }
+
+    #[test]
     fn rolz_codec_cycle() {
         let raw = tmp("rz.f32");
         let rqc = tmp("rz.rqc");
@@ -1857,6 +1891,87 @@ mod tests {
             rq_compress::chunk_table(&bytes).unwrap().entries.iter().map(|e| e.eb).collect();
         assert!(ebs.iter().any(|&e| e != ebs[0]), "plan is uniform: {ebs:?}");
         assert_eq!((bytes.len(), fnv1a64(&bytes)), (6808, 0x62a6_7c0d_c82e_ed0c));
+    }
+
+    /// A 48×64 field in three bands of 16 rows that `auto` at `--abs
+    /// 1e-4` sends to three different codecs: smooth (SZ), a period-8
+    /// texture (ROLZ) and high-amplitude noise (ZFP).
+    fn write_three_codec_field(path: &std::path::Path) {
+        let mut st = 0xDEAD_BEEFu64;
+        let f = NdArray::<f32>::from_fn(Shape::d2(48, 64), |ix| {
+            st ^= st << 13;
+            st ^= st >> 7;
+            st ^= st << 17;
+            let noise = ((st >> 11) as f64 / (1u64 << 53) as f64 - 0.5) as f32;
+            match ix[0] / 16 {
+                0 => ((ix[0] as f64 * 0.2).sin() + (ix[1] as f64 * 0.1).sin() / 2.0) as f32,
+                1 => ((ix[0] + 3 * ix[1]) % 8) as f32 * 0.37,
+                _ => noise * 50.0,
+            }
+        });
+        io::write_raw_f32(path.to_str().unwrap(), &f).unwrap();
+    }
+
+    #[test]
+    fn zfp_and_auto_archive_bytes_are_pinned() {
+        // The ZFP bitplane coder is tuned for speed under the promise that
+        // its RQZF stream, and therefore every archive holding ZFP chunks,
+        // stays byte-identical: lengths and hashes were recorded with the
+        // original per-bit coder.
+        let raw = tmp("zpin.f32");
+        let rqc = tmp("zpin.rqc");
+        write_three_codec_field(&raw);
+        let compress_with = |codec: &str| {
+            run_args(&[
+                "compress",
+                raw.to_str().unwrap(),
+                rqc.to_str().unwrap(),
+                "--shape",
+                "48x64",
+                "--abs",
+                "1e-4",
+                "--codec",
+                codec,
+                "--chunk-size",
+                "8",
+                "--threads",
+                "2",
+            ])
+            .unwrap();
+            io::read_bytes(rqc.to_str().unwrap()).unwrap()
+        };
+        let zfp = compress_with("zfp");
+        assert_eq!((zfp.len(), fnv1a64(&zfp)), (7024, 0x4790_5a6f_a363_9222));
+        let auto = compress_with("auto");
+        let table = rq_compress::chunk_table(&auto).unwrap();
+        for kind in [ChunkCodecKind::Sz, ChunkCodecKind::Zfp, ChunkCodecKind::Rolz] {
+            assert!(table.entries.iter().any(|e| e.codec == kind), "no {kind:?} chunk");
+        }
+        assert_eq!((auto.len(), fnv1a64(&auto)), (4336, 0x4ab7_e5f6_3c5a_623a));
+
+        // A 3D field with partial edge blocks on every axis.
+        let raw3 = tmp("zpin3.f32");
+        let rqc3 = tmp("zpin3.rqc");
+        let f3 = NdArray::<f32>::from_fn(Shape::d3(13, 18, 23), |ix| {
+            ((ix[0] as f32 * 0.4).sin() + (ix[1] as f32 * 0.3).cos()) * ix[2] as f32 * 0.1
+        });
+        io::write_raw_f32(raw3.to_str().unwrap(), &f3).unwrap();
+        run_args(&[
+            "compress",
+            raw3.to_str().unwrap(),
+            rqc3.to_str().unwrap(),
+            "--shape",
+            "13x18x23",
+            "--abs",
+            "1e-5",
+            "--codec",
+            "zfp",
+            "--chunk-size",
+            "5",
+        ])
+        .unwrap();
+        let zfp3 = io::read_bytes(rqc3.to_str().unwrap()).unwrap();
+        assert_eq!((zfp3.len(), fnv1a64(&zfp3)), (7057, 0xe81f_fbac_4327_8aff));
     }
 
     #[test]

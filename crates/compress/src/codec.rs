@@ -209,7 +209,9 @@ impl<T: Scalar> ChunkCodec<T> for ZfpChunkCodec {
                 DecompressError::Corrupt("zfp chunk scalar tag")
             }
             rq_zfp::ZfpError::Corrupt(what) => DecompressError::Corrupt(what),
+            // Encoder-side errors; the decoder never raises them.
             rq_zfp::ZfpError::BadTolerance(_) => DecompressError::Corrupt("zfp tolerance"),
+            rq_zfp::ZfpError::NonFinite(_) => DecompressError::Corrupt("zfp non-finite value"),
         })
     }
 }

@@ -7,9 +7,21 @@
 //! 0-flag. Coding stops at the plane where the truncation error — after
 //! worst-case amplification through the inverse transform — is below the
 //! requested absolute bound, which is what makes the codec error-bounded.
+//!
+//! Both directions work on one block at a time in fixed scratch arrays
+//! (a block has at most [`MAX_BLOCK`] coefficients) and keep significance
+//! as a 256-bit set over the sequency-ordered coefficients. An
+//! insignificant coefficient becomes significant at plane `k` exactly when
+//! its top set bit is `k`, so the encoder buckets those "born at `k`"
+//! sets once per block; event offsets are then popcounts over the
+//! plane-start insignificant set, and the decoder maps an offset back to a
+//! coefficient with a select over that set. Refinement bits travel up to
+//! 64 at a time. The bit order — and so the stream — is that of the
+//! original one-bit-at-a-time coder (`tests/zfp_differential.rs`).
 
 use crate::block::{
-    extract_padded, from_fixed_point, store_block, to_fixed_point, BLOCK_SIDE, Q_BITS,
+    extract_padded_into, from_fixed_point_into, interior_base, store_block, to_fixed_point_into,
+    BlockLayout, BLOCK_SIDE, MAX_BLOCK, Q_BITS,
 };
 use crate::transform::{fwd_transform, inv_transform, sequency_order};
 use rq_encoding::varint::{get_uvarint, put_uvarint};
@@ -29,6 +41,9 @@ const GAIN_BITS_PER_DIM: i32 = 2;
 pub enum ZfpError {
     /// The tolerance is not positive/finite.
     BadTolerance(f64),
+    /// The input holds a NaN or infinite value (the one given), which the
+    /// block-floating-point transform cannot represent.
+    NonFinite(f64),
     /// The buffer is not an RQZF container or is corrupt.
     Corrupt(&'static str),
     /// Scalar type mismatch.
@@ -39,6 +54,9 @@ impl std::fmt::Display for ZfpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ZfpError::BadTolerance(t) => write!(f, "bad tolerance {t}"),
+            ZfpError::NonFinite(v) => {
+                write!(f, "input holds the non-finite value {v}, which zfp cannot encode")
+            }
             ZfpError::Corrupt(w) => write!(f, "corrupt zfp stream: {w}"),
             ZfpError::ScalarMismatch => write!(f, "scalar tag mismatch"),
         }
@@ -46,6 +64,71 @@ impl std::fmt::Display for ZfpError {
 }
 
 impl std::error::Error for ZfpError {}
+
+/// A set of coefficient indices of one block: bit `i % 64` of word
+/// `i / 64` is coefficient `i` in sequency order.
+type Bits = [u64; MAX_BLOCK / 64];
+
+/// The first `n` coefficients.
+fn low_bits(n: usize) -> Bits {
+    let mut b = [0u64; MAX_BLOCK / 64];
+    for (w, word) in b.iter_mut().enumerate() {
+        let lo = w * 64;
+        if n >= lo + 64 {
+            *word = u64::MAX;
+        } else if n > lo {
+            *word = (1u64 << (n - lo)) - 1;
+        }
+    }
+    b
+}
+
+#[inline]
+fn count(b: &Bits) -> usize {
+    b.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+#[inline]
+fn has(b: &Bits, i: usize) -> bool {
+    (b[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// Calls `f` with every index in `b`, ascending.
+#[inline]
+fn for_each_index(b: &Bits, mut f: impl FnMut(usize)) {
+    for (w, &word) in b.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// Members of `b` below index `i`.
+#[inline]
+fn rank(b: &Bits, i: usize) -> usize {
+    let (w, bit) = (i / 64, i % 64);
+    let below: usize = b[..w].iter().map(|x| x.count_ones() as usize).sum();
+    below + (b[w] & ((1u64 << bit) - 1)).count_ones() as usize
+}
+
+/// The index of the `r`-th member of `b` (0-based; `r < count(b)`).
+#[inline]
+fn select(b: &Bits, mut r: usize) -> usize {
+    for (w, &word) in b.iter().enumerate() {
+        let c = word.count_ones() as usize;
+        if r < c {
+            let mut word = word;
+            for _ in 0..r {
+                word &= word - 1;
+            }
+            return w * 64 + word.trailing_zeros() as usize;
+        }
+        r -= c;
+    }
+    unreachable!("select past the end of the set")
+}
 
 /// Compress `field` under a point-wise absolute error bound `tolerance`.
 pub fn zfp_compress<T: Scalar>(
@@ -58,6 +141,10 @@ pub fn zfp_compress<T: Scalar>(
 /// [`zfp_compress`] over a raw row-major slice (`data.len()` must equal
 /// `shape.len()`); lets the chunk-parallel pipeline encode sub-slabs of a
 /// larger buffer without copying.
+///
+/// Refuses NaN and ±inf with [`ZfpError::NonFinite`]: the transform has no
+/// verbatim path, so such values would otherwise decode as unrelated
+/// finite numbers.
 pub fn zfp_compress_slice<T: Scalar>(
     data: &[T],
     shape: Shape,
@@ -67,9 +154,15 @@ pub fn zfp_compress_slice<T: Scalar>(
         return Err(ZfpError::BadTolerance(tolerance));
     }
     debug_assert_eq!(data.len(), shape.len());
+    if let Some(v) = data.iter().map(|v| v.to_f64()).find(|v| !v.is_finite()) {
+        return Err(ZfpError::NonFinite(v));
+    }
     let nd = shape.ndim();
     let perm = sequency_order(nd);
     let gain_bits = GAIN_BITS_PER_DIM * nd as i32;
+    let tol_log2 = tolerance.log2();
+    let layout = BlockLayout::new(shape);
+    let n = layout.len;
 
     let mut header = Vec::new();
     header.extend_from_slice(MAGIC);
@@ -80,23 +173,43 @@ pub fn zfp_compress_slice<T: Scalar>(
     }
     header.extend_from_slice(&tolerance.to_le_bytes());
 
+    let mut values = [0f64; MAX_BLOCK];
+    let mut ints = [0i64; MAX_BLOCK];
+    let mut mags = [0u64; MAX_BLOCK];
+    // born[k]: the coefficients whose top set bit is plane k.
+    let mut born = [[0u64; MAX_BLOCK / 64]; 64];
+    let all = low_bits(n);
     let mut w = BitWriter::new();
     for origin in block_origins(shape) {
-        let values = extract_padded(data, shape, &origin[..nd]);
-        let (e_max, mut ints) = to_fixed_point(&values);
+        let origin = &origin[..nd];
+        match interior_base(shape, origin) {
+            Some(base) => {
+                for (v, &off) in values[..n].iter_mut().zip(&layout.offsets[..n]) {
+                    *v = data[base + off].to_f64();
+                }
+            }
+            None => extract_padded_into(data, shape, origin, &mut values[..n]),
+        }
+        let e_max = to_fixed_point_into(&values[..n], &mut ints[..n]);
         if e_max == i32::MIN {
             w.put_bit(false); // empty-block flag
             continue;
         }
-        fwd_transform(&mut ints, nd);
-        let coeffs: Vec<i64> = perm.iter().map(|&i| ints[i]).collect();
+        fwd_transform(&mut ints[..n], nd);
+        let mut neg: Bits = [0; MAX_BLOCK / 64];
+        let mut any = 0u64;
+        for (i, &p) in perm.iter().enumerate() {
+            let c = ints[p];
+            mags[i] = c.unsigned_abs();
+            any |= mags[i];
+            neg[i / 64] |= ((c < 0) as u64) << (i % 64);
+        }
 
         // Plane range: from the top set bit down to the tolerance floor.
-        let max_mag = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
-        let top = 63 - max_mag.max(1).leading_zeros() as i32;
+        let top = 63 - any.max(1).leading_zeros() as i32;
         // tol_fixed = tolerance · 2^(Q − e_max); keep planes ≥ k_min where
         // 2^k_min · 2^gain ≤ tol_fixed.
-        let tol_log = (tolerance.log2() + (Q_BITS - e_max) as f64).floor() as i32;
+        let tol_log = (tol_log2 + (Q_BITS - e_max) as f64).floor() as i32;
         let k_min = (tol_log - gain_bits).max(0);
         if k_min > top {
             // Every coefficient lies below the tolerance floor: zeroing
@@ -109,52 +222,56 @@ pub fn zfp_compress_slice<T: Scalar>(
             w.put_bit(false);
             continue;
         }
-        w.put_bit(true);
-        // Biased exponent in 12 bits covers f64's range.
-        w.put_bits((e_max + 1100) as u64, 12);
-        w.put_bits(top as u64, 7);
-        w.put_bits(k_min as u64, 7);
+        // Non-empty flag, then the exponent biased into 12 bits (covers
+        // f64's range), the top plane and the floor plane.
+        let fields = (1 << 26) | ((e_max + 1100) as u64) << 14 | (top as u64) << 7 | k_min as u64;
+        w.put_bits(fields, 27);
 
-        let mut significant = vec![false; coeffs.len()];
-        let mut k = top;
-        while k >= k_min {
-            // Refinement pass: one bit per already-significant coefficient.
-            for (i, &c) in coeffs.iter().enumerate() {
-                if significant[i] {
-                    w.put_bit((c.unsigned_abs() >> k) & 1 == 1);
-                }
+        let (k_min, top) = (k_min as usize, top as usize);
+        for row in &mut born[k_min..=top] {
+            *row = [0; MAX_BLOCK / 64];
+        }
+        for (i, &m) in mags[..n].iter().enumerate() {
+            if m >> k_min != 0 {
+                born[63 - m.leading_zeros() as usize][i / 64] |= 1u64 << (i % 64);
             }
+        }
+        let mut sig: Bits = [0; MAX_BLOCK / 64];
+        let mut insig = all;
+        for k in (k_min..=top).rev() {
+            // Refinement pass: one bit per already-significant coefficient,
+            // packed 64 to a write.
+            let (mut acc, mut len) = (0u64, 0u32);
+            for_each_index(&sig, |i| {
+                acc = (acc << 1) | ((mags[i] >> k) & 1);
+                len += 1;
+                if len == 64 {
+                    w.put_bits(acc, 64);
+                    (acc, len) = (0, 0);
+                }
+            });
+            w.put_bits(acc, len);
             // Significance pass: event-coded over the (sequency-ordered)
-            // insignificant tail — one flag per event plus a binary offset,
-            // so quiet planes cost a single bit.
-            let insig: Vec<usize> =
-                (0..coeffs.len()).filter(|&i| !significant[i]).collect();
-            let mut start = 0usize;
-            loop {
-                let remaining = insig.len() - start;
-                if remaining == 0 {
-                    break;
-                }
-                let next = insig[start..]
-                    .iter()
-                    .position(|&i| (coeffs[i].unsigned_abs() >> k) & 1 == 1);
-                match next {
-                    None => {
-                        w.put_bit(false);
-                        break;
-                    }
-                    Some(off) => {
-                        w.put_bit(true);
-                        let width = ceil_log2(remaining);
-                        w.put_bits(off as u64, width);
-                        let idx = insig[start + off];
-                        significant[idx] = true;
-                        w.put_bit(coeffs[idx] < 0);
-                        start += off + 1;
-                    }
-                }
+            // insignificant tail — one flag per event plus a binary offset
+            // into what remains of the plane-start insignificant set, so
+            // quiet planes cost a single bit.
+            let mut remaining = count(&insig);
+            let mut used = 0;
+            for_each_index(&born[k], |i| {
+                let off = rank(&insig, i) - used;
+                let width = ceil_log2(remaining);
+                let sign = (neg[i / 64] >> (i % 64)) & 1;
+                w.put_bits(((1 << width | off as u64) << 1) | sign, width + 2);
+                used += off + 1;
+                remaining -= off + 1;
+            });
+            if remaining > 0 {
+                w.put_bit(false);
             }
-            k -= 1;
+            for (word, (s, ins)) in born[k].iter().zip(sig.iter_mut().zip(&mut insig)) {
+                *s |= word;
+                *ins &= !word;
+            }
         }
     }
     let payload = w.finish();
@@ -251,82 +368,116 @@ fn decode_payload<T: Scalar>(
 ) -> Result<(), ZfpError> {
     let nd = shape.ndim();
     let mut r = BitReader::new(payload);
-
     let perm = sequency_order(nd);
-    let block_len = BLOCK_SIDE.pow(nd as u32);
-    let zeros = vec![0f64; block_len];
+    let layout = BlockLayout::new(shape);
+    let n = layout.len;
+
+    let mut values = [0f64; MAX_BLOCK];
+    let mut ints = [0i64; MAX_BLOCK];
     for origin in block_origins(shape) {
+        let origin = &origin[..nd];
         let nonempty = r.get_bit().ok_or(ZfpError::Corrupt("block flag"))?;
-        if !nonempty {
+        if nonempty {
+            let e_max = decode_block(&mut r, &perm, &mut ints[..n])?;
+            inv_transform(&mut ints[..n], nd);
+            from_fixed_point_into(e_max, &ints[..n], &mut values[..n]);
+        } else {
             // Store explicit zeros: `out` may be a recycled (dirty)
             // buffer, so the decoder must overwrite every element rather
             // than rely on a pre-zeroed destination.
-            store_block(out, shape, &origin[..nd], &zeros);
-            continue;
+            values[..n].fill(0.0);
         }
-        let e_max = r.get_bits(12).ok_or(ZfpError::Corrupt("e_max"))? as i32 - 1100;
-        let top = r.get_bits(7).ok_or(ZfpError::Corrupt("top"))? as i32;
-        let k_min = r.get_bits(7).ok_or(ZfpError::Corrupt("k_min"))? as i32;
-        if top > 62 || k_min > top {
-            return Err(ZfpError::Corrupt("plane range"));
-        }
-        let mut mags = vec![0u64; block_len];
-        let mut neg = vec![false; block_len];
-        let mut significant = vec![false; block_len];
-        let mut k = top;
-        while k >= k_min {
-            for i in 0..block_len {
-                if significant[i] {
-                    let bit = r.get_bit().ok_or(ZfpError::Corrupt("refinement bit"))?;
-                    if bit {
-                        mags[i] |= 1u64 << k;
-                    }
+        match interior_base(shape, origin) {
+            Some(base) => {
+                for (&v, &off) in values[..n].iter().zip(&layout.offsets[..n]) {
+                    out[base + off] = T::from_f64(v);
                 }
             }
-            let insig: Vec<usize> = (0..block_len).filter(|&i| !significant[i]).collect();
-            let mut start = 0usize;
-            loop {
-                let remaining = insig.len() - start;
-                if remaining == 0 {
-                    break;
-                }
-                let more = r.get_bit().ok_or(ZfpError::Corrupt("event flag"))?;
-                if !more {
-                    break;
-                }
-                let width = ceil_log2(remaining);
-                let off = r.get_bits(width).ok_or(ZfpError::Corrupt("event offset"))? as usize;
-                if off >= remaining {
-                    return Err(ZfpError::Corrupt("event offset range"));
-                }
-                let idx = insig[start + off];
-                significant[idx] = true;
-                mags[idx] |= 1u64 << k;
-                neg[idx] = r.get_bit().ok_or(ZfpError::Corrupt("sign bit"))?;
-                start += off + 1;
-            }
-            k -= 1;
+            None => store_block(out, shape, origin, &values[..n]),
         }
-        let mut coeffs = vec![0i64; block_len];
-        for i in 0..block_len {
-            // Mid-point reconstruction of the truncated tail halves the
-            // expected truncation error.
-            let mut m = mags[i] as i64;
-            if significant[i] && k_min > 0 {
-                m += 1i64 << (k_min - 1);
-            }
-            coeffs[i] = if neg[i] { -m } else { m };
-        }
-        // Undo the sequency permutation, then the transform.
-        let mut ints = vec![0i64; block_len];
-        for (i, &p) in perm.iter().enumerate() {
-            ints[p] = coeffs[i];
-        }
-        inv_transform(&mut ints, nd);
-        let values = from_fixed_point(e_max, &ints);
-        store_block(out, shape, &origin[..nd], &values);
     }
     Ok(())
+}
+
+/// Decode one non-empty block's planes (after its flag) into `ints` in
+/// natural (pre-permutation) order, ready for the inverse transform;
+/// returns the block exponent.
+fn decode_block(r: &mut BitReader<'_>, perm: &[usize], ints: &mut [i64]) -> Result<i32, ZfpError> {
+    let n = ints.len();
+    if r.remaining() < 26 {
+        // Name the first field the stream cannot hold, as a per-field
+        // read would.
+        return Err(ZfpError::Corrupt(match r.remaining() {
+            0..12 => "e_max",
+            12..19 => "top",
+            _ => "k_min",
+        }));
+    }
+    let fields = r.get_bits(26).expect("26 bits remain");
+    let e_max = (fields >> 14) as i32 - 1100;
+    let top = ((fields >> 7) & 0x7f) as usize;
+    let k_min = (fields & 0x7f) as usize;
+    if top > 62 || k_min > top {
+        return Err(ZfpError::Corrupt("plane range"));
+    }
+    let mut mags = [0u64; MAX_BLOCK];
+    let mut neg: Bits = [0; MAX_BLOCK / 64];
+    let mut sig: Bits = [0; MAX_BLOCK / 64];
+    let mut insig = low_bits(n);
+    for k in (k_min..=top).rev() {
+        // Refinement bits: one per significant coefficient, read up to
+        // 64 at a time into left-aligned words, then scattered in order.
+        let refined = count(&sig);
+        let mut words = [0u64; MAX_BLOCK / 64];
+        for (j, word) in words[..refined.div_ceil(64)].iter_mut().enumerate() {
+            let take = (refined - 64 * j).min(64) as u32;
+            let bits = r.get_bits(take).ok_or(ZfpError::Corrupt("refinement bit"))?;
+            *word = bits << (64 - take);
+        }
+        let (mut t, mut chunk) = (0, 0u64);
+        for_each_index(&sig, |i| {
+            if t % 64 == 0 {
+                chunk = words[t / 64];
+            }
+            mags[i] |= (chunk >> 63) << k;
+            chunk <<= 1;
+            t += 1;
+        });
+        // Significance events over the plane-start insignificant set.
+        let mut remaining = count(&insig);
+        let mut used = 0;
+        let mut born: Bits = [0; MAX_BLOCK / 64];
+        while remaining > 0 {
+            let more = r.get_bit().ok_or(ZfpError::Corrupt("event flag"))?;
+            if !more {
+                break;
+            }
+            let width = ceil_log2(remaining);
+            let off = r.get_bits(width).ok_or(ZfpError::Corrupt("event offset"))? as usize;
+            if off >= remaining {
+                return Err(ZfpError::Corrupt("event offset range"));
+            }
+            let i = select(&insig, used + off);
+            born[i / 64] |= 1u64 << (i % 64);
+            mags[i] |= 1u64 << k;
+            let sign = r.get_bit().ok_or(ZfpError::Corrupt("sign bit"))?;
+            neg[i / 64] |= (sign as u64) << (i % 64);
+            used += off + 1;
+            remaining -= off + 1;
+        }
+        for (word, (s, ins)) in born.iter().zip(sig.iter_mut().zip(&mut insig)) {
+            *s |= word;
+            *ins &= !word;
+        }
+    }
+    // Mid-point reconstruction of the truncated tail halves the expected
+    // truncation error; then undo the sequency permutation.
+    let half = if k_min > 0 { 1i64 << (k_min - 1) } else { 0 };
+    for (i, &p) in perm.iter().enumerate() {
+        let m = mags[i] as i64 + if has(&sig, i) { half } else { 0 };
+        ints[p] = if has(&neg, i) { -m } else { m };
+    }
+    Ok(e_max)
 }
 
 /// Bits needed to encode an offset in `0..n` (0 when `n == 1`).
@@ -337,25 +488,19 @@ fn ceil_log2(n: usize) -> u32 {
 }
 
 /// Block-aligned origins covering `shape`, row-major.
-fn block_origins(shape: Shape) -> Vec<[usize; MAX_DIMS]> {
+fn block_origins(shape: Shape) -> impl Iterator<Item = [usize; MAX_DIMS]> {
     let nd = shape.ndim();
-    let mut out = Vec::new();
-    let mut origin = [0usize; MAX_DIMS];
-    loop {
-        out.push(origin);
-        let mut axis = nd;
-        loop {
-            if axis == 0 {
-                return out;
-            }
-            axis -= 1;
+    std::iter::successors(Some([0usize; MAX_DIMS]), move |prev| {
+        let mut origin = *prev;
+        for axis in (0..nd).rev() {
             origin[axis] += BLOCK_SIDE;
             if origin[axis] < shape.dim(axis) {
-                break;
+                return Some(origin);
             }
             origin[axis] = 0;
         }
-    }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -442,6 +587,50 @@ mod tests {
         }
         assert!(zfp_decompress::<f64>(&bytes).is_err(), "scalar mismatch");
         assert!(zfp_decompress::<f32>(b"NOTZ").is_err());
+    }
+
+    #[test]
+    fn non_finite_input_is_refused() {
+        // These used to be coded as zero in the fixed-point step and
+        // decode as unrelated finite values (NaN as about -1.5e-6).
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut f = NdArray::<f64>::from_fn(Shape::d2(9, 10), |ix| ix[1] as f64 * 0.1);
+            f.as_mut_slice()[57] = bad;
+            match zfp_compress(&f, 1e-3) {
+                Err(ZfpError::NonFinite(v)) => assert_eq!(v.to_bits(), bad.to_bits()),
+                other => panic!("{bad}: expected NonFinite, got {other:?}"),
+            }
+            let f32s: Vec<f32> = f.as_slice().iter().map(|&v| v as f32).collect();
+            assert!(matches!(
+                zfp_compress_slice(&f32s, f.shape(), 1e-3),
+                Err(ZfpError::NonFinite(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn bitset_rank_and_select_agree() {
+        let mut s = 0x51E7_0001u64;
+        for n in [1usize, 4, 16, 64, 65, 200, 256] {
+            let mut b = low_bits(n);
+            for w in &mut b {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                *w &= s;
+            }
+            let members: Vec<usize> = (0..n).filter(|&i| has(&b, i)).collect();
+            assert_eq!(count(&b), members.len());
+            let mut seen = Vec::new();
+            for_each_index(&b, |i| seen.push(i));
+            assert_eq!(seen, members);
+            for (r, &i) in members.iter().enumerate() {
+                assert_eq!(select(&b, r), i);
+                assert_eq!(rank(&b, i), r);
+            }
+        }
+        assert_eq!(count(&low_bits(256)), 256);
+        assert_eq!(count(&low_bits(64)), 64);
     }
 
     #[test]

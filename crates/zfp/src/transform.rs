@@ -31,83 +31,68 @@ pub fn fwd_lift(v: &mut [i64; 4]) {
 
 /// Inverse lift of one 4-vector (in place); inverse of [`fwd_lift`] up to
 /// the low bits the `>>1` steps drop (as in libzfp).
+///
+/// The additions wrap: a damaged stream can carry coefficients up to
+/// 2^62, whose sums overflow `i64`. The decoder must return garbage for
+/// them, not panic, in every build profile.
 #[inline]
 pub fn inv_lift(v: &mut [i64; 4]) {
     let [mut x, mut y, mut z, mut w] = *v;
-    y += w >> 1;
-    w -= y >> 1;
-    y += w;
+    y = y.wrapping_add(w >> 1);
+    w = w.wrapping_sub(y >> 1);
+    y = y.wrapping_add(w);
     w <<= 1;
-    w -= y;
-    z += x;
+    w = w.wrapping_sub(y);
+    z = z.wrapping_add(x);
     x <<= 1;
-    x -= z;
-    y += z;
+    x = x.wrapping_sub(z);
+    y = y.wrapping_add(z);
     z <<= 1;
-    z -= y;
-    w += x;
+    z = z.wrapping_sub(y);
+    w = w.wrapping_add(x);
     x <<= 1;
-    x -= w;
+    x = x.wrapping_sub(w);
     *v = [x, y, z, w];
 }
 
 /// Apply the forward lift along every axis of a 4^d block (row-major,
 /// `4usize.pow(d)` elements).
 pub fn fwd_transform(block: &mut [i64], ndim: usize) {
-    transform_axes(block, ndim, fwd_lift);
+    for axis in 0..ndim {
+        lift_axis(block, ndim, axis, fwd_lift);
+    }
 }
 
 /// Apply the inverse lift along every axis, in reverse order.
 pub fn inv_transform(block: &mut [i64], ndim: usize) {
     // The per-axis lifts commute only approximately; invert in reverse
     // axis order to be exact.
-    let n = block.len();
-    let mut axes: Vec<usize> = (0..ndim).collect();
-    axes.reverse();
-    for &axis in &axes {
-        for_each_line(n, ndim, axis, |idx| {
-            let mut v = [block[idx[0]], block[idx[1]], block[idx[2]], block[idx[3]]];
-            inv_lift(&mut v);
-            for k in 0..4 {
-                block[idx[k]] = v[k];
-            }
-        });
+    for axis in (0..ndim).rev() {
+        lift_axis(block, ndim, axis, inv_lift);
     }
 }
 
-fn transform_axes(block: &mut [i64], ndim: usize, lift: impl Fn(&mut [i64; 4])) {
-    let n = block.len();
-    for axis in 0..ndim {
-        for_each_line(n, ndim, axis, |idx| {
-            let mut v = [block[idx[0]], block[idx[1]], block[idx[2]], block[idx[3]]];
-            lift(&mut v);
-            for k in 0..4 {
-                block[idx[k]] = v[k];
-            }
-        });
-    }
+/// Lift every 4-element line along `axis` of a 4^ndim cube.
+#[inline]
+fn lift_axis(block: &mut [i64], ndim: usize, axis: usize, lift: impl Fn(&mut [i64; 4])) {
+    for_each_line(block.len(), ndim, axis, |[a, b, c, d]| {
+        let mut v = [block[a], block[b], block[c], block[d]];
+        lift(&mut v);
+        [block[a], block[b], block[c], block[d]] = v;
+    });
 }
 
 /// Enumerate the 4-element lines along `axis` of a 4^ndim cube, invoking
 /// `f` with the four linear indices of each line.
+#[inline]
 fn for_each_line(n: usize, ndim: usize, axis: usize, mut f: impl FnMut([usize; 4])) {
-    // Row-major strides: last axis fastest.
+    // Row-major strides: last axis fastest. A line starts at every index
+    // whose `axis` coordinate is 0: `stride` consecutive starts in each
+    // run of `4 * stride` elements.
     let stride = 4usize.pow((ndim - 1 - axis) as u32);
-    let lines = n / 4;
-    let mut count = 0;
-    let mut base = 0usize;
-    while count < lines {
-        // Skip bases that are not the first element of a line along `axis`.
-        if (base / stride).is_multiple_of(4) {
+    for run in (0..n).step_by(4 * stride) {
+        for base in run..run + stride {
             f([base, base + stride, base + 2 * stride, base + 3 * stride]);
-            count += 1;
-            base += 1;
-        } else {
-            // Jump over the rest of this line group.
-            base += 3 * stride;
-        }
-        if base >= n {
-            break;
         }
     }
 }
@@ -121,8 +106,7 @@ pub fn sequency_order(ndim: usize) -> Vec<usize> {
     let key = |lin: usize| -> (usize, usize) {
         let mut rem = lin;
         let mut total = 0;
-        for a in (0..ndim).rev() {
-            let _ = a;
+        for _ in 0..ndim {
             total += rem % 4;
             rem /= 4;
         }
@@ -164,6 +148,21 @@ mod tests {
         inv_lift(&mut v);
         for k in 0..4 {
             assert!((v[k] - orig[k]).abs() <= 2, "{v:?} vs {orig:?}");
+        }
+    }
+
+    #[test]
+    fn inverse_lift_wraps_on_damaged_magnitudes() {
+        // A damaged stream can hand the decoder coefficients near 2^62;
+        // the inverse lift must wrap (as release builds always did), not
+        // panic on overflow in debug builds.
+        let big = (1i64 << 62) + 12345;
+        for v in [[big, big, big, big], [-big, big, -big, big], [big, -big, 0, big]] {
+            let mut w = v;
+            inv_lift(&mut w);
+            let mut block = [v[0]; 256];
+            block[1] = v[1];
+            inv_transform(&mut block, 4);
         }
     }
 

@@ -14,6 +14,9 @@
 //! the matching rows of a full `decompress` *exactly* for randomly drawn
 //! row ranges, while decoding only the chunks that intersect `r`.
 //!
+//! A non-finite input axis covers NaN and ±inf: the codecs with a
+//! verbatim path keep them bit-exact and `zfp` refuses them.
+//!
 //! Fields are cropped from the datagen generators so the whole matrix
 //! stays fast enough for debug CI while keeping each generator's
 //! statistical character.
@@ -163,6 +166,72 @@ fn pointwise_relative_bound_zfp_refuses() {
         compress(&field, &cfg).is_err(),
         "zfp codec must refuse point-wise relative bounds rather than miss them"
     );
+}
+
+#[test]
+fn non_finite_inputs_exact_or_refused() {
+    // The non-finite input axis: sz, rolz and auto keep NaN (payload
+    // included) and ±inf bit-exact and hold the bound on every finite
+    // element; zfp, which has no verbatim path, refuses the input instead
+    // of decoding those values as unrelated finite numbers. The extra
+    // noise slab is one `auto` hands to zfp when it is clean.
+    let mut s = 0xF1_4173u64;
+    let noise = NdArray::<f32>::from_fn(Shape::d2(16, 1024), |_| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) as f32 * 50.0
+    });
+    let mut cases = fields();
+    cases.push(("noise", noise));
+    let payload_nan = f32::from_bits(0x7fc0_1234);
+    for (name, clean) in &cases {
+        let eb = if *name == "noise" { 1e-4 } else { clean.value_range() * 1e-3 };
+        let mut field = clean.clone();
+        let n = field.len();
+        let bad = [(n / 7, payload_nan), (n / 2, f32::INFINITY), (n - 3, f32::NEG_INFINITY)];
+        for (i, v) in bad {
+            field.as_mut_slice()[i] = v;
+        }
+        let row_len = n / field.shape().dim(0);
+        for rows in chunkings(field.shape().dim(0)) {
+            for codec in [CodecChoice::Sz, CodecChoice::Rolz, CodecChoice::Auto] {
+                let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb))
+                    .chunked(rows)
+                    .with_codec(codec)
+                    .with_threads(2);
+                let (out, rep) = compress_with_report(&field, &cfg)
+                    .unwrap_or_else(|e| panic!("{name} {codec:?} rows={rows}: {e}"));
+                let back = decompress::<f32>(&out.bytes).unwrap();
+                for (i, (&a, &b)) in field.as_slice().iter().zip(back.as_slice()).enumerate() {
+                    if a.is_finite() {
+                        assert!(
+                            (a as f64 - b as f64).abs() <= eb * (1.0 + 1e-6),
+                            "{name} {codec:?} rows={rows} element {i}: {a} vs {b}"
+                        );
+                    } else {
+                        let what = format!("{name} {codec:?} rows={rows} element {i}");
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                    }
+                }
+                if codec == CodecChoice::Auto {
+                    for (i, _) in bad {
+                        let chunk = i / row_len / rows;
+                        let codec = rep.chunk_codecs[chunk];
+                        assert_ne!(codec, ChunkCodecKind::Zfp, "{name} rows={rows}");
+                    }
+                    if *name == "noise" && rep.n_chunks > bad.len() {
+                        let zfp = rep.chunk_codecs.contains(&ChunkCodecKind::Zfp);
+                        assert!(zfp, "{name} rows={rows}: clean chunks should pick zfp");
+                    }
+                }
+            }
+            let cfg = CompressorConfig::new(PredictorKind::Lorenzo, ErrorBoundMode::Abs(eb))
+                .chunked(rows)
+                .with_codec(CodecChoice::Zfp);
+            assert!(compress(&field, &cfg).is_err(), "{name} rows={rows}: zfp must refuse");
+        }
+    }
 }
 
 #[test]

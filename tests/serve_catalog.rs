@@ -52,8 +52,11 @@ fn catalog_bytes() -> Vec<u8> {
     w.finalize().unwrap().sink
 }
 
+/// Writes `bytes` to a directory of its own per file name: tests run in
+/// parallel and each removes its directory when done, so a shared one
+/// could vanish under another test.
 fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rqm_serve_cat_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rqm_serve_cat_{}_{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     std::fs::write(&path, bytes).unwrap();
