@@ -1,6 +1,7 @@
 //! Compressor and codec throughput, including the chunk-parallel scaling
 //! table (1/2/4/8 threads) that backs the parallel pipeline's speedup
-//! claim, and the ZFP transform codec's own encode/decode rate.
+//! claim, and the ZFP transform and ROLZ residual codecs' own
+//! encode/decode rates.
 //!
 //! A plain `main` with wall-clock timing rather than a criterion harness:
 //! the offline build cannot fetch criterion, and throughput trends at
@@ -11,11 +12,13 @@
 //! RQM_QUICK=1 cargo bench -p rq-bench --bench throughput  # small, for CI
 //! ```
 
-use rq_compress::{compress, decompress, decompress_with_threads, CompressorConfig};
+use rq_compress::{
+    compress, decompress, decompress_with_threads, ChunkCodec, CompressorConfig, RolzChunkCodec,
+};
 use rq_encoding::HuffmanCodec;
 use rq_grid::{NdArray, Shape};
 use rq_predict::PredictorKind;
-use rq_quant::ErrorBoundMode;
+use rq_quant::{ErrorBoundMode, LinearQuantizer, DEFAULT_RADIUS};
 use std::time::Instant;
 
 fn bench_field(side: usize) -> NdArray<f32> {
@@ -137,6 +140,61 @@ fn zfp_throughput(field: &NdArray<f32>, reps: usize) {
     }
 }
 
+/// The ROLZ chunk codec alone (one thread) on 8-row slabs of Gaussian
+/// random fields — the `--codec auto` case where it is picked most: the
+/// interpolation predictor at a relative bound of 3e-6, at turbulent and
+/// smooth spectral slopes.
+fn rolz_throughput(quick: bool, reps: usize) {
+    let rows = if quick { 16 } else { 64 };
+    let mut rng = rq_datagen::rng::seeded(1);
+    let fields = [
+        ("grf_2d 0.5", rq_datagen::grf::grf_2d([4 * rows, 1024], 0.5, &mut rng)),
+        ("grf_2d 3.5", rq_datagen::grf::grf_2d([4 * rows, 1024], 3.5, &mut rng)),
+        ("grf_3d 1.0", rq_datagen::grf::grf_3d([rows, 64, 64], 1.0, &mut rng)),
+        ("grf_3d 3.5", rq_datagen::grf::grf_3d([rows, 64, 64], 3.5, &mut rng)),
+    ];
+    println!("\n== rolz codec (8-row interpolation chunks, rel 3e-6, 1 thread) ==");
+    println!("{:<12} {:>12} {:>12} {:>12}", "field", "comp MiB/s", "decomp MiB/s", "bits/value");
+    for (name, field) in fields {
+        let shape = field.shape();
+        let data: Vec<f32> = field.as_slice().iter().map(|&v| v as f32).collect();
+        let (lo, hi) = data
+            .iter()
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| (l.min(v), h.max(v)));
+        let codec = RolzChunkCodec::new(
+            PredictorKind::Interpolation,
+            LinearQuantizer::new(3e-6 * (hi - lo) as f64, DEFAULT_RADIUS),
+        );
+        let row: usize = shape.dims()[1..].iter().product();
+        let mut dims = shape.dims().to_vec();
+        dims[0] = 8;
+        let chunk_shape = Shape::new(&dims);
+        let chunks: Vec<&[f32]> = data.chunks_exact(8 * row).collect();
+        let encode_all = || -> Vec<Vec<u8>> {
+            chunks.iter().map(|c| ChunkCodec::<f32>::encode(&codec, c, chunk_shape).unwrap().0).collect()
+        };
+        let t_comp = time_best(reps, || {
+            let _ = encode_all();
+        });
+        let blobs = encode_all();
+        let mut out = vec![0f32; chunk_shape.len()];
+        let t_dec = time_best(reps, || {
+            for b in &blobs {
+                ChunkCodec::<f32>::decode(&codec, b, chunk_shape, &mut out).unwrap();
+            }
+        });
+        let bytes = chunks.len() * chunk_shape.len() * 4;
+        let blob_bytes: usize = blobs.iter().map(Vec::len).sum();
+        println!(
+            "{:<12} {:>12.1} {:>12.1} {:>12.3}",
+            name,
+            mb_per_s(bytes, t_comp),
+            mb_per_s(bytes, t_dec),
+            blob_bytes as f64 * 8.0 / (bytes / 4) as f64
+        );
+    }
+}
+
 fn huffman_throughput() {
     // Zero-dominated symbol stream like real quantization codes.
     let symbols: Vec<u32> = (0..1_000_000u32)
@@ -176,5 +234,6 @@ fn main() {
     serial_throughput(&field, reps);
     parallel_scaling(&field, reps);
     zfp_throughput(&field, reps);
+    rolz_throughput(quick, reps);
     huffman_throughput();
 }

@@ -106,7 +106,7 @@
 //! chunk's payload.
 
 use crate::config::LosslessStage;
-use rq_encoding::varint::{get_uvarint, put_uvarint};
+use rq_encoding::varint::{get_uvarint, put_uvarint, uvarint_len};
 use rq_grid::{Scalar, Shape, MAX_DIMS};
 use rq_predict::PredictorKind;
 
@@ -544,6 +544,22 @@ pub(crate) fn write_chunk_blob<T: Scalar>(
     out.push(if lossless_applied == LosslessStage::RleLzss { CHUNK_FLAG_LOSSLESS } else { 0 });
     write_sections_body(&mut out, codebook, payload, verbatim, side);
     out
+}
+
+/// Length of the blob [`write_chunk_blob`] writes for sections of these
+/// sizes (`n_verbatim` scalars), without building it.
+pub(crate) fn chunk_blob_len<T: Scalar>(
+    codebook_len: usize,
+    payload_len: usize,
+    n_verbatim: usize,
+    side_len: usize,
+) -> usize {
+    let section = |len: usize| uvarint_len(len as u64) + len;
+    1 + section(codebook_len)
+        + section(payload_len)
+        + uvarint_len(n_verbatim as u64)
+        + n_verbatim * T::BYTES
+        + section(side_len)
 }
 
 /// Parse a chunk blob written by [`write_chunk_blob`].

@@ -87,6 +87,26 @@ pub fn decode_chunk_rolz<T: Scalar>(
     codec.decode(blob, shape, out)
 }
 
+/// The ROLZ model alone on a code byte stream: the `(tokens, lens, raws)`
+/// streams the chunk codec entropy-codes. Both paths must give equal
+/// streams (the fast match finder extends only the slots whose first
+/// four bytes match; the reference extends every slot byte by byte).
+pub fn rolz_tokens(bytes: &[u8], path: KernelPath) -> (Vec<u32>, Vec<u8>, Vec<u8>) {
+    crate::rolz::tokens_of(bytes, path)
+}
+
+/// Decode [`rolz_tokens`] streams back to `n_bytes` code bytes on the
+/// chosen path, or fail with the typed error a damaged blob gives.
+pub fn rolz_bytes(
+    tokens: &[u32],
+    lens: &[u8],
+    raws: &[u8],
+    n_bytes: usize,
+    path: KernelPath,
+) -> Result<Vec<u8>, DecompressError> {
+    crate::rolz::bytes_of(tokens, lens, raws, n_bytes, path)
+}
+
 /// Run one Lorenzo traversal with the caller's visit closure — exposes
 /// the predictor hot loop alone (the fast row-specialized walk vs the
 /// generic stencil walk) to the differential tests and the bench.

@@ -84,7 +84,10 @@ pub(crate) fn resolve_bound(
 }
 
 /// Shared quantize-and-collect state for the compression passes.
-struct QuantEncoder<T: Scalar> {
+/// `HIST` says whether the symbol histogram is kept: the scheduler's
+/// size-only ROLZ probe needs none, and the histogram spans the whole
+/// alphabet (65 537 bins, 512 KiB at the default radius).
+struct QuantEncoder<T: Scalar, const HIST: bool> {
     quantizer: LinearQuantizer,
     transform: Transform,
     escape_symbol: u32,
@@ -99,7 +102,7 @@ struct QuantEncoder<T: Scalar> {
     path: KernelPath,
 }
 
-impl<T: Scalar> QuantEncoder<T> {
+impl<T: Scalar, const HIST: bool> QuantEncoder<T, HIST> {
     fn new(quantizer: LinearQuantizer, transform: Transform, n_hint: usize, path: KernelPath) -> Self {
         let alphabet = quantizer.alphabet_size() + 1;
         QuantEncoder {
@@ -108,7 +111,7 @@ impl<T: Scalar> QuantEncoder<T> {
             escape_symbol: quantizer.alphabet_size() as u32,
             symbols: Vec::with_capacity(n_hint),
             verbatim: Vec::new(),
-            histogram: vec![0u64; alphabet],
+            histogram: if HIST { vec![0u64; alphabet] } else { Vec::new() },
             n_escapes: 0,
             path,
         }
@@ -124,7 +127,9 @@ impl<T: Scalar> QuantEncoder<T> {
     /// Escape through the symbol stream (records the escape symbol too).
     fn escape(&mut self, original: T) -> f64 {
         self.symbols.push(self.escape_symbol);
-        self.histogram[self.escape_symbol as usize] += 1;
+        if HIST {
+            self.histogram[self.escape_symbol as usize] += 1;
+        }
         self.n_escapes += 1;
         self.store_verbatim(original)
     }
@@ -177,7 +182,9 @@ impl<T: Scalar> QuantEncoder<T> {
         }
         let sym = self.quantizer.code_to_symbol(code);
         self.symbols.push(sym);
-        self.histogram[sym as usize] += 1;
+        if HIST {
+            self.histogram[sym as usize] += 1;
+        }
         recon_stored
     }
 }
@@ -573,7 +580,8 @@ pub(crate) struct QuantizedStream<T> {
     pub symbols: Vec<u32>,
     pub verbatim: Vec<T>,
     pub side: Vec<u8>,
-    /// Symbol histogram including the escape bin (last slot).
+    /// Symbol histogram including the escape bin (last slot); empty
+    /// when built by [`quantize_stream_with`] without `HIST`.
     pub histogram: Vec<u64>,
     pub n_escapes: usize,
     pub n_anchors: usize,
@@ -593,10 +601,23 @@ pub(crate) fn quantize_stream<T: Scalar>(
     transform: Transform,
     path: KernelPath,
 ) -> QuantizedStream<T> {
+    quantize_stream_with::<T, true>(orig, shape, predictor, quantizer, transform, path)
+}
+
+/// [`quantize_stream`], keeping the symbol histogram only when `HIST`
+/// (the same symbols, verbatim values and side channel either way).
+pub(crate) fn quantize_stream_with<T: Scalar, const HIST: bool>(
+    orig: &[T],
+    shape: Shape,
+    predictor: PredictorKind,
+    quantizer: LinearQuantizer,
+    transform: Transform,
+    path: KernelPath,
+) -> QuantizedStream<T> {
     debug_assert_eq!(orig.len(), shape.len());
     let n = shape.len();
 
-    let mut enc = QuantEncoder::<T>::new(quantizer, transform, n, path);
+    let mut enc = QuantEncoder::<T, HIST>::new(quantizer, transform, n, path);
     let mut side = Vec::new();
     let mut n_anchors = 0usize;
 

@@ -26,17 +26,21 @@
 //!
 //! Encoder and decoder run the identical context/rank state machine, so
 //! the blob is a pure function of the input slab. Like the other codecs
-//! the fast kernels (SWAR match extension, table-driven Huffman) have
-//! scalar [`KernelPath::Reference`] twins held byte-identical by
-//! `tests/kernel_differential.rs`.
+//! the fast kernels (a match finder that extends only the slots whose
+//! first four bytes match, word-at-a-time match extension and rank scan,
+//! table-driven Huffman) have scalar [`KernelPath::Reference`] twins held
+//! byte-identical by `tests/kernel_differential.rs`.
 
 use crate::codec::{ChunkCodec, ChunkStats};
 use crate::config::LosslessStage;
 use crate::container::{
-    read_chunk_blob, write_chunk_blob, ChunkCodecKind, CompressError, DecompressError,
+    chunk_blob_len, read_chunk_blob, write_chunk_blob, ChunkCodecKind, CompressError,
+    DecompressError,
 };
-use crate::pipeline::{dequantize_stream, quantize_stream, KernelPath, Transform};
-use rq_encoding::varint::{get_uvarint, put_uvarint};
+use crate::pipeline::{
+    dequantize_stream, quantize_stream, quantize_stream_with, KernelPath, Transform,
+};
+use rq_encoding::varint::{get_uvarint, put_uvarint, uvarint_len};
 use rq_encoding::{common_prefix, HuffmanCodec};
 use rq_grid::{Scalar, Shape};
 use rq_predict::interp::anchors;
@@ -109,23 +113,47 @@ impl RolzState {
         self.heads[ctx] = ((h + 1) % ROLZ_SLOTS) as u8;
     }
 
-    /// Rank of `byte` in the context's table, if present.
+    /// Rank of `byte` in the context's table, if present. The fast path
+    /// scans the table eight ranks per word (a table holds each byte at
+    /// most once, so the lowest zero byte of `word ^ pattern` is the
+    /// only one); the reference path walks it byte by byte.
     #[inline]
-    fn rank_of(&self, ctx: usize, byte: u8) -> Option<usize> {
-        self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE]
-            .iter()
-            .position(|&b| b == byte)
+    fn rank_of(&self, ctx: usize, byte: u8, path: KernelPath) -> Option<usize> {
+        let t = &self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE];
+        match path {
+            KernelPath::Fast => {
+                const LO: u64 = 0x0101_0101_0101_0101;
+                const HI: u64 = 0x8080_8080_8080_8080;
+                let pattern = LO * byte as u64;
+                for (k, group) in t.chunks_exact(8).enumerate() {
+                    let x = u64::from_le_bytes(group.try_into().expect("8-byte group")) ^ pattern;
+                    // Flags the lowest zero byte exactly (a borrow only
+                    // runs upwards from it).
+                    let zero = x.wrapping_sub(LO) & !x & HI;
+                    if zero != 0 {
+                        return Some(k * 8 + (zero.trailing_zeros() / 8) as usize);
+                    }
+                }
+                None
+            }
+            KernelPath::Reference => t.iter().position(|&b| b == byte),
+        }
     }
 
     /// Move the byte at rank `r` halfway to the front (orz-style gradual
     /// promotion — a straight move-to-front overreacts to one-off bytes).
     #[inline]
-    fn promote(&mut self, ctx: usize, r: usize) {
+    fn promote(&mut self, ctx: usize, r: usize, path: KernelPath) {
         let t = &mut self.ranks[ctx * SYMRANK_SIZE..(ctx + 1) * SYMRANK_SIZE];
         let b = t[r];
         let to = r / 2;
-        for k in (to + 1..=r).rev() {
-            t[k] = t[k - 1];
+        match path {
+            KernelPath::Fast => t.copy_within(to..r, to + 1),
+            KernelPath::Reference => {
+                for k in (to + 1..=r).rev() {
+                    t[k] = t[k - 1];
+                }
+            }
         }
         t[to] = b;
     }
@@ -207,20 +235,83 @@ struct RolzTokens {
     raws: Vec<u8>,
 }
 
+impl RolzTokens {
+    fn with_capacity(n_bytes: usize) -> Self {
+        RolzTokens {
+            tokens: Vec::with_capacity(n_bytes / 2 + 16),
+            histogram: vec![0u64; TOKEN_ALPHABET],
+            lens: Vec::new(),
+            raws: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn emit(&mut self, tok: u32) {
+        self.tokens.push(tok);
+        self.histogram[tok as usize] += 1;
+    }
+
+    /// Code a match of `len` bytes from ring slot `slot` at position `i`
+    /// and return its length. Every token start enters the ring — after
+    /// the search, so a match can never reference its own position. The
+    /// decoder mirrors this exactly.
+    #[inline(always)]
+    fn code_match(
+        &mut self,
+        state: &mut RolzState,
+        ctx: usize,
+        i: usize,
+        len: usize,
+        slot: usize,
+    ) -> usize {
+        state.insert(ctx, i);
+        self.emit(TOKEN_MATCH0 + slot as u32);
+        self.lens.push((len - MIN_MATCH) as u8);
+        len
+    }
+
+    /// Code the literal `b` at position `i`, whose rank in the context's
+    /// table is `rank` (an escape when absent), and return its length, 1.
+    #[inline(always)]
+    fn code_literal(
+        &mut self,
+        state: &mut RolzState,
+        ctx: usize,
+        i: usize,
+        b: u8,
+        rank: Option<usize>,
+        path: KernelPath,
+    ) -> usize {
+        state.insert(ctx, i);
+        match rank {
+            Some(r) => {
+                self.emit(r as u32);
+                state.promote(ctx, r, path);
+            }
+            None => {
+                self.emit(TOKEN_ESCAPE);
+                self.raws.push(b);
+                state.adopt(ctx, b);
+            }
+        }
+        1
+    }
+}
+
 /// Run the ROLZ model forward over the code byte stream.
 fn rolz_compress(bytes: &[u8], path: KernelPath) -> RolzTokens {
+    match path {
+        KernelPath::Fast => rolz_compress_fast(bytes),
+        KernelPath::Reference => rolz_compress_ref(bytes),
+    }
+}
+
+/// The reference match finder: extend every ring slot byte by byte and
+/// keep the longest.
+fn rolz_compress_ref(bytes: &[u8]) -> RolzTokens {
     let n = bytes.len();
     let mut state = RolzState::new();
-    let mut t = RolzTokens {
-        tokens: Vec::with_capacity(n / 2 + 16),
-        histogram: vec![0u64; TOKEN_ALPHABET],
-        lens: Vec::new(),
-        raws: Vec::new(),
-    };
-    let emit = |tok: u32, t: &mut RolzTokens| {
-        t.tokens.push(tok);
-        t.histogram[tok as usize] += 1;
-    };
+    let mut t = RolzTokens::with_capacity(n);
     let mut i = 0usize;
     while i < n {
         let ctx = context(bytes, i);
@@ -234,10 +325,7 @@ fn rolz_compress(bytes: &[u8], path: KernelPath) -> RolzTokens {
                 }
                 let p = p as usize;
                 // `p < i`, so both slices hold at least `limit` bytes.
-                let l = match path {
-                    KernelPath::Fast => common_prefix(&bytes[p..], &bytes[i..], limit),
-                    KernelPath::Reference => common_prefix_ref(&bytes[p..], &bytes[i..], limit),
-                };
+                let l = common_prefix_ref(&bytes[p..], &bytes[i..], limit);
                 // Strict `>`: ties keep the lowest slot, deterministically.
                 if l > best_len {
                     best_len = l;
@@ -245,31 +333,107 @@ fn rolz_compress(bytes: &[u8], path: KernelPath) -> RolzTokens {
                 }
             }
         }
-        // Every token start enters the ring — after the search, so a
-        // match can never reference its own position. The decoder
-        // mirrors this exactly.
-        state.insert(ctx, i);
-        if best_len >= MIN_MATCH {
-            emit(TOKEN_MATCH0 + best_slot as u32, &mut t);
-            t.lens.push((best_len - MIN_MATCH) as u8);
-            i += best_len;
+        i += if best_len >= MIN_MATCH {
+            t.code_match(&mut state, ctx, i, best_len, best_slot)
         } else {
             let b = bytes[i];
-            match state.rank_of(ctx, b) {
-                Some(r) => {
-                    emit(r as u32, &mut t);
-                    state.promote(ctx, r);
-                }
-                None => {
-                    emit(TOKEN_ESCAPE, &mut t);
-                    t.raws.push(b);
-                    state.adopt(ctx, b);
-                }
-            }
-            i += 1;
-        }
+            let rank = state.rank_of(ctx, b, KernelPath::Reference);
+            t.code_literal(&mut state, ctx, i, b, rank, KernelPath::Reference)
+        };
     }
     t
+}
+
+/// The fast match finder. Only a match of at least [`MIN_MATCH`] bytes
+/// is ever emitted, and a slot reaches that length exactly when its
+/// first four bytes equal the current four. So the four bytes at every
+/// ring position are kept in a parallel array of words, all sixteen are
+/// compared with the current word at once, and only the equal slots are
+/// extended (word-at-a-time). Equal slots are visited in ascending order
+/// with the same strict `>`, so ties keep the lowest slot and the tokens
+/// are the reference finder's. Literal ranks come from a per-context
+/// membership set and an eight-ranks-per-word scan.
+fn rolz_compress_fast(bytes: &[u8]) -> RolzTokens {
+    let n = bytes.len();
+    let mut state = RolzState::new();
+    // `words[ctx * ROLZ_SLOTS + s]` holds the four bytes at
+    // `state.slot(ctx, s)`. A position with fewer than four bytes after
+    // it stores 0, and is never compared: a search needs four bytes at
+    // `i`, and every ring position lies before `i`.
+    let mut words = vec![0u32; ROLZ_CONTEXTS * ROLZ_SLOTS];
+    // Per context, the 256-bit set of bytes its rank table holds (ranks
+    // start as bytes 0..63), so an absent byte — an escape — is known
+    // without a scan of the table.
+    let mut present = vec![[u64::MAX, 0u64, 0, 0]; ROLZ_CONTEXTS];
+    let mut t = RolzTokens::with_capacity(n);
+    let mut i = 0usize;
+    while i < n {
+        let ctx = context(bytes, i);
+        let limit = MAX_MATCH.min(n - i);
+        let (mut best_len, mut best_slot) = (0usize, 0usize);
+        let mut word = 0u32;
+        if limit >= MIN_MATCH {
+            word = u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4-byte word"));
+            let ring = &words[ctx * ROLZ_SLOTS..(ctx + 1) * ROLZ_SLOTS];
+            let mut candidates = 0u32;
+            for (s, &w) in ring.iter().enumerate() {
+                candidates |= ((w == word) as u32) << s;
+            }
+            while candidates != 0 {
+                let s = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                let p = state.slot(ctx, s);
+                if p == EMPTY {
+                    continue;
+                }
+                let p = p as usize + MIN_MATCH;
+                let l = MIN_MATCH
+                    + common_prefix(&bytes[p..], &bytes[i + MIN_MATCH..], limit - MIN_MATCH);
+                if l > best_len {
+                    best_len = l;
+                    best_slot = s;
+                    if l == limit {
+                        break;
+                    }
+                }
+            }
+        }
+        words[ctx * ROLZ_SLOTS + state.heads[ctx] as usize] = word;
+        if best_len >= MIN_MATCH {
+            i += t.code_match(&mut state, ctx, i, best_len, best_slot);
+            continue;
+        }
+        let b = bytes[i];
+        let set = &mut present[ctx];
+        let rank = if set[b as usize / 64] & (1 << (b % 64)) != 0 {
+            state.rank_of(ctx, b, KernelPath::Fast)
+        } else {
+            // An escape: the table's last byte leaves, `b` comes in.
+            let last = state.ranks[ctx * SYMRANK_SIZE + SYMRANK_SIZE - 1];
+            set[last as usize / 64] &= !(1 << (last % 64));
+            set[b as usize / 64] |= 1 << (b % 64);
+            None
+        };
+        i += t.code_literal(&mut state, ctx, i, b, rank, KernelPath::Fast);
+    }
+    t
+}
+
+/// [`rolz_compress`]'s token streams, for the kernel test surface.
+pub(crate) fn tokens_of(bytes: &[u8], path: KernelPath) -> (Vec<u32>, Vec<u8>, Vec<u8>) {
+    let t = rolz_compress(bytes, path);
+    (t.tokens, t.lens, t.raws)
+}
+
+/// [`rolz_decompress`] over a token slice, for the kernel test surface.
+pub(crate) fn bytes_of(
+    tokens: &[u32],
+    lens: &[u8],
+    raws: &[u8],
+    n_bytes: usize,
+    path: KernelPath,
+) -> Result<Vec<u8>, DecompressError> {
+    rolz_decompress(tokens.iter().map(|&t| Ok(t)), lens, raws, n_bytes, path)
 }
 
 /// Replay a token stream through the model, reproducing exactly
@@ -279,6 +443,7 @@ fn rolz_decompress(
     lens: &[u8],
     raws: &[u8],
     n_bytes: usize,
+    path: KernelPath,
 ) -> Result<Vec<u8>, DecompressError> {
     let mut state = RolzState::new();
     let mut out = Vec::with_capacity(n_bytes);
@@ -295,7 +460,7 @@ fn rolz_decompress(
             let r = tok as usize;
             let b = state.ranks[ctx * SYMRANK_SIZE + r];
             state.insert(ctx, i);
-            state.promote(ctx, r);
+            state.promote(ctx, r, path);
             out.push(b);
         } else if tok == TOKEN_ESCAPE {
             let b = *raws
@@ -383,6 +548,35 @@ impl RolzChunkCodec {
     pub(crate) fn with_kernel_path(mut self, path: KernelPath) -> Self {
         self.path = path;
         self
+    }
+
+    /// Length of the blob [`ChunkCodec::encode`] writes for `data`,
+    /// computed without building it: the same symbols, bytes and tokens,
+    /// but no symbol histogram, no Huffman payload (its length follows
+    /// from the token histogram and the code lengths) and no blob. The
+    /// scheduler's ROLZ probe only needs this size.
+    pub(crate) fn encoded_len<T: Scalar>(
+        &self,
+        data: &[T],
+        shape: Shape,
+    ) -> Result<usize, CompressError> {
+        let (predictor, quantizer, transform) = (self.predictor, self.quantizer, self.transform);
+        let q = quantize_stream_with::<T, false>(data, shape, predictor, quantizer, transform, self.path);
+        let code_bytes = symbols_to_bytes(&q.symbols, self.quantizer.zero_symbol());
+        let t = rolz_compress(&code_bytes, self.path);
+        let (codebook_len, token_bytes) = if t.tokens.is_empty() {
+            (0, 0)
+        } else {
+            let codec = HuffmanCodec::from_counts(&t.histogram)?;
+            let bits = codec.payload_bits(&t.histogram);
+            (codec.serialize_codebook().len(), bits.div_ceil(8) as usize)
+        };
+        let counts = [code_bytes.len(), t.tokens.len(), t.lens.len(), t.raws.len(), token_bytes];
+        let payload_len = counts.iter().map(|&c| uvarint_len(c as u64)).sum::<usize>()
+            + token_bytes
+            + t.lens.len()
+            + t.raws.len();
+        Ok(chunk_blob_len::<T>(codebook_len, payload_len, q.verbatim.len(), q.side.len()))
     }
 }
 
@@ -499,11 +693,18 @@ impl<T: Scalar> ChunkCodec<T> for RolzChunkCodec {
                         lens,
                         raws,
                         n_bytes,
+                        KernelPath::Fast,
                     )?
                 }
                 KernelPath::Reference => {
                     let tokens = codec.decode_reference(token_payload, n_tokens)?;
-                    rolz_decompress(tokens.into_iter().map(Ok), lens, raws, n_bytes)?
+                    rolz_decompress(
+                        tokens.into_iter().map(Ok),
+                        lens,
+                        raws,
+                        n_bytes,
+                        KernelPath::Reference,
+                    )?
                 }
             }
         };
@@ -562,6 +763,7 @@ mod tests {
                     &t.lens,
                     &t.raws,
                     bytes.len(),
+                    path,
                 )
                 .unwrap();
                 assert_eq!(back, bytes, "trial {trial} path {path:?}");
@@ -569,15 +771,112 @@ mod tests {
         }
     }
 
+    /// Fast and reference tokens agree, and the stream decodes on both
+    /// paths.
+    fn assert_paths_agree(bytes: &[u8], what: &str) -> RolzTokens {
+        let f = rolz_compress(bytes, KernelPath::Fast);
+        let r = rolz_compress(bytes, KernelPath::Reference);
+        assert_eq!(f.tokens, r.tokens, "{what}: tokens");
+        assert_eq!(f.lens, r.lens, "{what}: lens");
+        assert_eq!(f.raws, r.raws, "{what}: raws");
+        assert_eq!(f.histogram, r.histogram, "{what}: histogram");
+        for path in [KernelPath::Fast, KernelPath::Reference] {
+            let back =
+                rolz_decompress(f.tokens.iter().map(|&x| Ok(x)), &f.lens, &f.raws, bytes.len(), path)
+                    .unwrap();
+            assert_eq!(back, bytes, "{what}: {path:?} decode");
+        }
+        f
+    }
+
     #[test]
     fn fast_and_reference_tokens_identical() {
         let mut rng = xorshift(0xDEAD_10CC);
         let bytes: Vec<u8> = (0..4096).map(|_| (rng() % 9) as u8).collect();
-        let f = rolz_compress(&bytes, KernelPath::Fast);
-        let r = rolz_compress(&bytes, KernelPath::Reference);
-        assert_eq!(f.tokens, r.tokens);
-        assert_eq!(f.lens, r.lens);
-        assert_eq!(f.raws, r.raws);
+        assert_paths_agree(&bytes, "skewed");
+    }
+
+    #[test]
+    fn match_finder_edge_cases() {
+        let mut rng = xorshift(0x00E0_6E5C_A5E5);
+        let mut noise = |n: usize| -> Vec<u8> { (0..n).map(|_| rng() as u8).collect() };
+        let period = |p: &[u8], n: usize| -> Vec<u8> { p.iter().copied().cycle().take(n).collect() };
+        // Streams shorter than one word, and the start-of-stream context 0
+        // (leading zeros share context 0 with the start position).
+        for n in 0..=4 {
+            assert_paths_agree(&vec![0u8; n], "short zeros");
+            assert_paths_agree(&noise(n), "short noise");
+        }
+        let zeros = assert_paths_agree(&vec![0u8; 600], "zero run");
+        assert!(zeros.lens.contains(&255), "a zero run must give MAX_MATCH matches");
+        // Random bytes: no match at all.
+        let random = assert_paths_agree(&noise(5000), "random");
+        assert!(random.lens.is_empty());
+        // Exactly MIN_MATCH and MAX_MATCH: a block repeated after a
+        // different byte, with a break right after the repeat.
+        for len in [MIN_MATCH, MIN_MATCH + 1, MAX_MATCH - 1, MAX_MATCH, MAX_MATCH + 1] {
+            let mut bytes = noise(len);
+            let head = bytes.clone();
+            bytes.push(head[len - 1] ^ 0x55);
+            bytes.extend_from_slice(&head);
+            bytes.extend_from_slice(&noise(3));
+            assert_paths_agree(&bytes, &format!("repeat of {len}"));
+        }
+        let t = assert_paths_agree(&[9, 1, 2, 3, 4, 9, 1, 2, 3, 4, 7], "repeat of 4");
+        assert_eq!(t.lens, vec![0], "one MIN_MATCH match");
+        // Matches that run to the end of the stream.
+        for tail in [MIN_MATCH, 17, MAX_MATCH, MAX_MATCH + 3] {
+            let head = noise(tail);
+            let mut bytes = head.clone();
+            bytes.push(7);
+            bytes.extend_from_slice(&head[..tail]);
+            assert_paths_agree(&bytes, &format!("match to the end, {tail}"));
+        }
+        // Self-overlapping matches: short periods repeated far past the
+        // period.
+        for p in [1usize, 2, 3, 5, 8] {
+            let unit = noise(p);
+            assert_paths_agree(&period(&unit, 700), &format!("period {p}"));
+        }
+        // Many contexts sharing a word, so several slots tie.
+        let mut tied = Vec::new();
+        for k in 0..40u8 {
+            tied.extend_from_slice(&[k % 3, 1, 2, 3, 4, 5, k]);
+        }
+        assert_paths_agree(&tied, "ties");
+    }
+
+    fn encoded_len_case<T: Scalar>(shape: Shape) {
+        let mut rng = xorshift(0x0051_2E0F);
+        let data: Vec<T> = shape
+            .indices()
+            .map(|ix| {
+                let noise = (rng() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                T::from_f64((ix[0] as f64 * 0.3).sin() * 3.0 + ix[shape.ndim() - 1] as f64 * 0.02 + noise * 0.05)
+            })
+            .collect();
+        for pred in PredictorKind::all() {
+            for (eb, radius) in [(1e-3, DEFAULT_RADIUS), (1e-5, 8), (10.0, DEFAULT_RADIUS)] {
+                for path in [KernelPath::Fast, KernelPath::Reference] {
+                    let codec = RolzChunkCodec::new(pred, LinearQuantizer::new(eb, radius))
+                        .with_kernel_path(path);
+                    let (blob, _) = ChunkCodec::<T>::encode(&codec, &data, shape).unwrap();
+                    assert_eq!(
+                        codec.encoded_len(&data, shape).unwrap(),
+                        blob.len(),
+                        "{pred:?} {shape:?} eb {eb} radius {radius} {path:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_len_matches_the_blob() {
+        for shape in [Shape::d1(1), Shape::d1(7), Shape::d2(24, 40), Shape::d3(6, 9, 11)] {
+            encoded_len_case::<f32>(shape);
+            encoded_len_case::<f64>(shape);
+        }
     }
 
     #[test]

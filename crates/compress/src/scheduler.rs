@@ -32,7 +32,21 @@
 //!   never probed: ZFP refuses such values, so its estimate is infinite.
 //! * **ROLZ** — the dictionary stage's gain depends on repeat structure
 //!   the entropy model cannot see, so the same probe blocks are pushed
-//!   through [`RolzChunkCodec`] for real and measured.
+//!   through [`RolzChunkCodec`]'s quantizer and ROLZ model for real and
+//!   sized exactly as the codec would write them — without the symbol
+//!   histogram, the Huffman payload or the blob, which the size does not
+//!   need. Each probe block is copied out of the slab once and shared by
+//!   the ZFP and ROLZ probes.
+//!
+//! What the probes cost, per chunk, over the 88 8-row chunks of the
+//! end-to-end `roundtrip_auto` corpus (seed 1, interpolation predictor,
+//! relative bound 3e-6, one thread, 2-CPU Xeon host, min of 5 passes,
+//! three alternating runs; the host is shared, so the figures move by
+//! ~20 % from run to run): the SZ estimate ~0.47 → ~0.23 ms once its
+//! codes beyond ±512 went from a `BTreeMap` to a sorted `Vec`; the ZFP
+//! probe ~0.35 → ~0.29 ms (the shared block copy); the ROLZ probe
+//! ~0.83 → ~0.33 ms with the prefiltered match finder and the size-only
+//! probe; `choose_codec` as a whole ~1.65 → ~0.95 ms.
 //!
 //! The decision rule is [`pick_codec`]: the finite minimum of the three
 //! estimates, ties preferring SZ then ZFP then ROLZ, and SZ when every
@@ -40,7 +54,6 @@
 //! historical rule compared `zfp_bits < sz_bits`, which silently picked
 //! SZ whenever the SZ estimate was NaN.
 
-use crate::codec::ChunkCodec;
 use crate::container::ChunkCodecKind;
 use crate::rolz::RolzChunkCodec;
 use rq_grid::{Scalar, Shape, MAX_DIMS};
@@ -101,10 +114,11 @@ pub(crate) fn choose_codec_with_blob<T: Scalar>(
     radius: u32,
 ) -> (CodecDecision, Option<Vec<u8>>) {
     let sz_bits = estimate_sz_bits(data, shape, predictor, abs_eb, radius);
-    let (zfp_bits, full_blob) = zfp_probe(data, shape, abs_eb);
-    let rolz_bits = estimate_rolz_bits(data, shape, predictor, abs_eb, radius);
+    let rolz = RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius));
+    let p = probe(data, shape, abs_eb, true, Some(&rolz));
+    let (zfp_bits, rolz_bits) = (p.zfp_bits, p.rolz_bits);
     let codec = pick_codec(sz_bits, zfp_bits, rolz_bits);
-    let blob = if codec == ChunkCodecKind::Zfp { full_blob } else { None };
+    let blob = if codec == ChunkCodecKind::Zfp { p.zfp_blob } else { None };
     (CodecDecision { codec, sz_bits, zfp_bits, rolz_bits }, blob)
 }
 
@@ -146,12 +160,12 @@ pub fn estimate_sz_bits<T: Scalar>(
 
 /// Measured bits/value of the ZFP path on probe blocks of a slab.
 pub fn estimate_zfp_bits<T: Scalar>(data: &[T], shape: Shape, abs_eb: f64) -> f64 {
-    zfp_probe(data, shape, abs_eb).0
+    probe(data, shape, abs_eb, true, None).zfp_bits
 }
 
-/// Measured bits/value of the ROLZ path on probe blocks of a slab
-/// (each block quantized, ROLZ-coded and entropy-coded for real — the
-/// dictionary stage's gain has no useful closed form).
+/// Measured bits/value of the ROLZ path on probe blocks of a slab (each
+/// block quantized, ROLZ-coded and sized exactly as the codec would
+/// write it — the dictionary stage's gain has no useful closed form).
 pub fn estimate_rolz_bits<T: Scalar>(
     data: &[T],
     shape: Shape,
@@ -159,56 +173,76 @@ pub fn estimate_rolz_bits<T: Scalar>(
     abs_eb: f64,
     radius: u32,
 ) -> f64 {
-    let codec = RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius));
-    let bits_of = |block: &[T], block_shape: Shape| -> f64 {
-        match ChunkCodec::<T>::encode(&codec, block, block_shape) {
-            Ok((blob, _)) => blob.len() as f64 * 8.0 / block_shape.len() as f64,
-            Err(_) => f64::INFINITY,
-        }
-    };
-    let Some(caps) = block_probe_caps(shape) else {
-        return bits_of(data, shape);
-    };
-    let probe_shape = caps_shape(shape, &caps);
-    let mut total_bits = 0.0f64;
-    for origin in probe_origins(shape, &caps) {
-        let probe = copy_block(data, shape, &origin, &caps);
-        total_bits += bits_of(&probe, probe_shape);
-    }
-    total_bits / PROBE_BLOCKS as f64
+    let rolz = RolzChunkCodec::new(predictor, LinearQuantizer::new(abs_eb, radius));
+    probe(data, shape, abs_eb, false, Some(&rolz)).rolz_bits
 }
 
-/// Compress ZFP probe block(s) and measure bits/value. When the probe
-/// covers the whole slab (no sub-block was cut), the stream is the slab's
-/// final ZFP encoding and is returned for reuse; otherwise the
-/// origin / center / far blocks are probed and averaged.
+/// What [`probe`] measured (infinite for a codec it did not run).
+struct Probed {
+    zfp_bits: f64,
+    rolz_bits: f64,
+    /// The slab's final ZFP stream, when the probe covered it whole.
+    zfp_blob: Option<Vec<u8>>,
+}
+
+/// Probe ZFP (when `zfp`) and ROLZ (when `rolz` is given) on the same
+/// blocks and measure bits/value. A slab within the budget is probed
+/// whole, and then the ZFP stream is the slab's final encoding and is
+/// handed back for reuse. A larger slab is probed on its origin, center
+/// and far blocks, each copied out once for both codecs, and the three
+/// rates are averaged.
 ///
 /// ZFP refuses NaN and ±inf, and probe blocks see only part of the slab,
 /// so the whole slab is scanned first: one non-finite value anywhere makes
-/// the estimate infinite and skips the probe.
-fn zfp_probe<T: Scalar>(data: &[T], shape: Shape, abs_eb: f64) -> (f64, Option<Vec<u8>>) {
-    if !data.iter().all(|v| v.to_f64().is_finite()) {
-        return (f64::INFINITY, None);
-    }
+/// the ZFP estimate infinite and skips its probe.
+fn probe<T: Scalar>(
+    data: &[T],
+    shape: Shape,
+    abs_eb: f64,
+    zfp: bool,
+    rolz: Option<&RolzChunkCodec>,
+) -> Probed {
+    let mut zfp_ok = zfp && data.iter().all(|v| v.to_f64().is_finite());
+    // An invalid tolerance cannot reach the ZFP coder (resolve_bound
+    // validated it); a failure of either codec means "never pick it".
+    let rolz_bits_of = |block: &[T], block_shape: Shape| -> f64 {
+        match rolz.map(|c| c.encoded_len(block, block_shape)) {
+            Some(Ok(len)) => len as f64 * 8.0 / block_shape.len() as f64,
+            _ => f64::INFINITY,
+        }
+    };
     let Some(caps) = block_probe_caps(shape) else {
-        // Whole slab fits the budget: the probe IS the encoding.
-        return match rq_zfp::zfp_compress_slice(data, shape, abs_eb) {
-            Ok(bytes) => (bytes.len() as f64 * 8.0 / shape.len() as f64, Some(bytes)),
-            // An invalid tolerance cannot reach here (resolve_bound
-            // validated it); treat a failure as "never pick zfp".
-            Err(_) => (f64::INFINITY, None),
+        // Whole slab fits the budget: the ZFP probe IS the encoding.
+        let zfp_blob =
+            zfp_ok.then(|| rq_zfp::zfp_compress_slice(data, shape, abs_eb).ok()).flatten();
+        return Probed {
+            zfp_bits: zfp_blob
+                .as_ref()
+                .map_or(f64::INFINITY, |b| b.len() as f64 * 8.0 / shape.len() as f64),
+            rolz_bits: rolz_bits_of(data, shape),
+            zfp_blob,
         };
     };
     let probe_shape = caps_shape(shape, &caps);
-    let mut total_bits = 0.0f64;
+    let mut block = Vec::with_capacity(probe_shape.len());
+    let (mut zfp_total, mut rolz_total) = (0.0f64, 0.0f64);
     for origin in probe_origins(shape, &caps) {
-        let probe = copy_block(data, shape, &origin, &caps);
-        match rq_zfp::zfp_compress_slice(&probe, probe_shape, abs_eb) {
-            Ok(bytes) => total_bits += bytes.len() as f64 * 8.0 / probe_shape.len() as f64,
-            Err(_) => return (f64::INFINITY, None),
+        copy_block(data, shape, &origin, &caps, &mut block);
+        if zfp_ok {
+            match rq_zfp::zfp_compress_slice(&block, probe_shape, abs_eb) {
+                Ok(bytes) => zfp_total += bytes.len() as f64 * 8.0 / probe_shape.len() as f64,
+                Err(_) => zfp_ok = false,
+            }
+        }
+        if rolz.is_some() {
+            rolz_total += rolz_bits_of(&block, probe_shape);
         }
     }
-    (total_bits / PROBE_BLOCKS as f64, None)
+    Probed {
+        zfp_bits: if zfp_ok { zfp_total / PROBE_BLOCKS as f64 } else { f64::INFINITY },
+        rolz_bits: if rolz.is_some() { rolz_total / PROBE_BLOCKS as f64 } else { f64::INFINITY },
+        zfp_blob: None,
+    }
 }
 
 /// The block extents a probe of `shape` uses, or `None` when the whole
@@ -270,17 +304,17 @@ fn probe_caps(shape: Shape, budget: usize) -> Option<[usize; MAX_DIMS]> {
 }
 
 /// Copy the rectangular block at `origin` with extents `caps` out of a
-/// row-major slab.
+/// row-major slab into `out` (cleared first).
 fn copy_block<T: Scalar>(
     data: &[T],
     shape: Shape,
     origin: &[usize; MAX_DIMS],
     caps: &[usize; MAX_DIMS],
-) -> Vec<T> {
+    out: &mut Vec<T>,
+) {
     let nd = shape.ndim();
     let strides = shape.strides();
-    let len: usize = caps[..nd].iter().product();
-    let mut out = Vec::with_capacity(len);
+    out.clear();
     let mut idx = [0usize; MAX_DIMS];
     loop {
         let mut lin = 0usize;
@@ -292,7 +326,7 @@ fn copy_block<T: Scalar>(
         let mut axis = nd - 1;
         loop {
             if axis == 0 {
-                return out;
+                return;
             }
             axis -= 1;
             idx[axis] += 1;
@@ -443,6 +477,17 @@ mod tests {
         }
     }
 
+    fn copied(
+        data: &[f32],
+        shape: Shape,
+        origin: &[usize; MAX_DIMS],
+        caps: &[usize; MAX_DIMS],
+    ) -> Vec<f32> {
+        let mut out = vec![f32::NAN; 3];
+        copy_block(data, shape, origin, caps, &mut out);
+        out
+    }
+
     #[test]
     fn probe_caps_budget_and_block_copy() {
         let shape = Shape::d3(64, 64, 64);
@@ -450,7 +495,7 @@ mod tests {
         let caps = probe_caps(shape, 4096).expect("large slab must be cut");
         assert!(caps[..3].iter().product::<usize>() <= 4096);
         // Origin-corner copy preserves row-major order.
-        let probe = copy_block(&data, shape, &[0; MAX_DIMS], &caps);
+        let probe = copied(&data, shape, &[0; MAX_DIMS], &caps);
         assert_eq!(probe[0], 0.0);
         assert_eq!(probe[1], 1.0);
         // Far-corner copy starts at the opposite corner's origin.
@@ -458,7 +503,7 @@ mod tests {
         for a in 0..3 {
             far[a] = shape.dim(a) - caps[a];
         }
-        let probe = copy_block(&data, shape, &far, &caps);
+        let probe = copied(&data, shape, &far, &caps);
         let strides = shape.strides();
         let lin0 = far[0] * strides[0] + far[1] * strides[1] + far[2];
         assert_eq!(probe[0], lin0 as f32);
@@ -519,7 +564,7 @@ mod tests {
         let probe_shape = caps_shape(shape, &caps);
         let mut corner_bits = 0.0;
         for o in [origin, far] {
-            let probe = copy_block(&data, shape, &o, &caps);
+            let probe = copied(&data, shape, &o, &caps);
             let bytes = rq_zfp::zfp_compress_slice(&probe, probe_shape, 1e-4).unwrap();
             corner_bits += bytes.len() as f64 * 8.0 / probe_shape.len() as f64;
         }

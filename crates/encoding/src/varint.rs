@@ -13,6 +13,11 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_uvarint`] writes for `v`.
+pub fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Decode a LEB128 varint starting at `buf[*pos]`, advancing `pos`.
 ///
 /// Returns `None` on truncation or overlong (> 10 byte) encodings.
@@ -39,6 +44,18 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uvarint_len_matches_the_writer() {
+        let mut out = Vec::new();
+        for shift in 0..64 {
+            for v in [(1u64 << shift) - 1, 1u64 << shift, (1u64 << shift) + 1, u64::MAX >> shift] {
+                out.clear();
+                put_uvarint(&mut out, v);
+                assert_eq!(uvarint_len(v), out.len(), "{v}");
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_edge_values() {

@@ -104,14 +104,16 @@ impl PredictionSample {
             };
         }
         // Quantize the sampled errors into a sparse histogram. Codes are
-        // clustered near zero, so a small dense center plus an overflow
-        // map keeps this near O(n) even for exhaustive samples of
-        // wide-spread data. A BTreeMap (not HashMap) so iteration — and
-        // with it the floating-point entropy summation — is
-        // deterministic, which codec decisions rely on.
+        // clustered near zero, so a small dense center plus a list of the
+        // codes beyond it keeps this near O(n log n) even for exhaustive
+        // samples of wide-spread data. The list is sorted and counted in
+        // runs, so its bins come out in ascending code order and the
+        // floating-point entropy summation, on which codec decisions
+        // rely, is deterministic (tests/scheduler_differential.rs holds
+        // it bit-identical to an ordered-map histogram).
         const CENTER: usize = 512;
         let mut center = [0u64; 2 * CENTER + 1];
-        let mut tail: std::collections::BTreeMap<i32, u64> = std::collections::BTreeMap::new();
+        let mut tail: Vec<i32> = Vec::new();
         let mut escapes = 0u64;
         let (mut code_min, mut code_max) = (i64::MAX, i64::MIN);
         let (mut code_sum, mut code_sumsq) = (0.0f64, 0.0f64);
@@ -127,7 +129,7 @@ impl PredictionSample {
                     if c.unsigned_abs() as usize <= CENTER {
                         center[(c + CENTER as i64) as usize] += 1;
                     } else {
-                        *tail.entry(code).or_insert(0) += 1;
+                        tail.push(code);
                     }
                 }
             }
@@ -142,7 +144,9 @@ impl PredictionSample {
         let total = n as f64;
         let mut entropy = 0.0f64;
         let mut occupied = 0usize;
-        for &cnt in center.iter().chain(tail.values()) {
+        tail.sort_unstable();
+        let tail_counts = tail.chunk_by(|a, b| a == b).map(|run| run.len() as u64);
+        for cnt in center.iter().copied().chain(tail_counts) {
             if cnt > 0 {
                 occupied += 1;
                 let p = cnt as f64 / total;

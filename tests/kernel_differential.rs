@@ -15,7 +15,9 @@
 //!   over 1-D..4-D shapes;
 //! * whole chunk blobs encoded on the fast path equal the reference
 //!   path byte-for-byte, for `f32` and `f64`, and each side decodes the
-//!   other's blobs to bit-identical values;
+//!   other's blobs to bit-identical values — for the ROLZ codec also on
+//!   the end-to-end benchmark's 8-row GRF chunks, and its match finder's
+//!   token streams on byte streams that hit every match edge case;
 //! * the committed `tests/data/golden_huffman_*.bin` /
 //!   `golden_lossless_rlelzss.bin` fixtures — encoded by the
 //!   **pre-rework** coder — still decode exactly, and re-encoding the
@@ -475,6 +477,125 @@ fn rolz_chunk_blobs_and_values_match_reference() {
                 rolz_chunk_differential::<f32>(predictor, shape, radius);
                 rolz_chunk_differential::<f64>(predictor, shape, radius);
             }
+        }
+    }
+}
+
+/// The benchmark's ROLZ case: 8-row chunks of Gaussian random fields at
+/// smooth and turbulent spectral slopes, the interpolation predictor at a
+/// relative bound of 3e-6 (codes spread over thousands of bins, so the
+/// code bytes are wide and the rank tables escape often).
+#[test]
+fn rolz_grf_chunks_match_reference() {
+    use rqm::compress_crate::kernels::{decode_chunk_rolz, encode_chunk_rolz};
+    use rqm::datagen;
+    use rqm::grid::NdArray;
+    fn check<T: Scalar>(a: &NdArray<f64>, what: &str) {
+        let shape = a.shape();
+        let data: Vec<T> = a.as_slice().iter().map(|&v| T::from_f64(v)).collect();
+        let (lo, hi) = data.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), v| {
+            (l.min(v.to_f64()), h.max(v.to_f64()))
+        });
+        let eb = 3e-6 * (hi - lo);
+        let row: usize = shape.dims()[1..].iter().product();
+        let mut dims = shape.dims().to_vec();
+        dims[0] = 8;
+        let cs = Shape::new(&dims);
+        for c in 0..shape.dim(0) / 8 {
+            let chunk = &data[c * 8 * row..(c + 1) * 8 * row];
+            let p = PredictorKind::Interpolation;
+            let r = rqm::quant::DEFAULT_RADIUS;
+            let fast = encode_chunk_rolz(chunk, cs, p, eb, r, KernelPath::Fast).expect("fast");
+            let reference =
+                encode_chunk_rolz(chunk, cs, p, eb, r, KernelPath::Reference).expect("reference");
+            assert_eq!(fast, reference, "{what} chunk {c}");
+            let mut out_fast = vec![T::zero(); cs.len()];
+            let mut out_ref = vec![T::zero(); cs.len()];
+            decode_chunk_rolz(&fast, cs, p, eb, r, KernelPath::Fast, &mut out_fast).expect("fast");
+            decode_chunk_rolz(&fast, cs, p, eb, r, KernelPath::Reference, &mut out_ref)
+                .expect("reference");
+            for (i, (a, b)) in out_fast.iter().zip(&out_ref).enumerate() {
+                assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits(), "{what} chunk {c} point {i}");
+            }
+        }
+    }
+    let mut rng = datagen::rng::seeded(41);
+    for slope in [0.5, 1.0, 3.5] {
+        let f2 = datagen::grf::grf_2d([16, 1024], slope, &mut rng);
+        let f3 = datagen::grf::grf_3d([16, 32, 64], slope, &mut rng);
+        check::<f32>(&f2, &format!("grf_2d {slope} f32"));
+        check::<f64>(&f2, &format!("grf_2d {slope} f64"));
+        check::<f32>(&f3, &format!("grf_3d {slope} f32"));
+        check::<f64>(&f3, &format!("grf_3d {slope} f64"));
+    }
+}
+
+/// Byte streams that hit the ROLZ match finder's edge cases.
+fn rolz_byte_streams() -> Vec<(String, Vec<u8>)> {
+    let mut st = 0x0B0E_5EED_u64;
+    let mut noise = |n: usize| -> Vec<u8> { (0..n).map(|_| xorshift(&mut st) as u8).collect() };
+    let mut out = Vec::new();
+    // Shorter than one 4-byte word (no search can run), and the
+    // start-of-stream context 0 shared with leading zero bytes.
+    for n in 0..=4 {
+        out.push((format!("zeros {n}"), vec![0u8; n]));
+        out.push((format!("noise {n}"), noise(n)));
+    }
+    out.push(("zero run (MAX_MATCH matches)".into(), vec![0u8; 1000]));
+    out.push(("random (no matches)".into(), noise(6000)));
+    // A block repeated after a different byte: matches of exactly
+    // MIN_MATCH (4) and MAX_MATCH (259) and their neighbors.
+    for len in [3usize, 4, 5, 258, 259, 260] {
+        let head = noise(len);
+        let mut s = head.clone();
+        s.push(head[len - 1] ^ 0x5A);
+        s.extend_from_slice(&head);
+        s.extend(noise(5));
+        out.push((format!("repeat of {len}"), s));
+    }
+    // Matches that run to the end of the stream.
+    for len in [4usize, 9, 259, 300] {
+        let head = noise(len);
+        let mut s = head.clone();
+        s.push(0xEE);
+        s.extend_from_slice(&head);
+        out.push((format!("match to the end, {len}"), s));
+    }
+    // Self-overlapping matches: short periods far past the period.
+    for p in [1usize, 2, 3, 7] {
+        let unit = noise(p);
+        out.push((format!("period {p}"), unit.iter().copied().cycle().take(900).collect()));
+    }
+    // Many slots holding the same word: ties go to the lowest slot.
+    let mut tied = Vec::new();
+    for k in 0..60u8 {
+        tied.extend_from_slice(&[k % 4, 1, 2, 3, 4, 5, 6, k]);
+    }
+    out.push(("tied slots".into(), tied));
+    // Skewed low bytes with planted repeats, like a residual stream.
+    let mut skewed: Vec<u8> = (0..5000).map(|_| (xorshift(&mut st) % 9) as u8).collect();
+    for k in 0..64 {
+        skewed[3000 + k] = skewed[100 + k];
+    }
+    out.push(("skewed".into(), skewed));
+    for (name, s) in byte_streams() {
+        out.push((name.to_string(), s));
+    }
+    out
+}
+
+#[test]
+fn rolz_tokens_match_reference() {
+    use rqm::compress_crate::kernels::{rolz_bytes, rolz_tokens};
+    for (name, bytes) in rolz_byte_streams() {
+        let (tokens, lens, raws) = rolz_tokens(&bytes, KernelPath::Fast);
+        let reference = rolz_tokens(&bytes, KernelPath::Reference);
+        assert_eq!(tokens, reference.0, "{name}: tokens");
+        assert_eq!(lens, reference.1, "{name}: lens");
+        assert_eq!(raws, reference.2, "{name}: raws");
+        for path in [KernelPath::Fast, KernelPath::Reference] {
+            let back = rolz_bytes(&tokens, &lens, &raws, bytes.len(), path).expect("decode");
+            assert_eq!(back, bytes, "{name}: {path:?} decode");
         }
     }
 }
